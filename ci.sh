@@ -5,12 +5,13 @@
 # test suite, a race pass over the whole module (runGrid fans simulations
 # out across host goroutines — real race territory; -short skips only the
 # marathon paper-shape reproductions, which the Tiny studies cover and
-# which would push the race pass past the go test timeout), and a kernel
-# benchmark smoke so a catastrophic performance regression fails loudly
-# even without reading numbers.
+# which would push the race pass past the go test timeout), kernel and
+# lock-manager benchmark smokes so a catastrophic performance regression
+# fails loudly even without reading numbers, and a smoke of the benchmark
+# of record whose result checks catch a result drift at its recorded seed.
 #
-# For the tracked performance numbers, run the trajectory harness instead:
-#   go run ./cmd/bench        # rewrites BENCH_kernel.json
+# For the performance numbers themselves, run the benchmark of record:
+#   bash _perfbench/run.sh --workload baseline --seed 7 --seconds 35 --trace 1
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -51,7 +52,9 @@ echo "== go test -race -short ./..."
 go test -race -short ./...
 
 echo "== kernel benchmark smoke"
-go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkProcessSwitch|BenchmarkMailbox' \
+# Raw events and the continuation handle every simulation process runs on:
+# a process hold and a mailbox round trip, one event per resumption.
+go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkContDelay|BenchmarkContMailbox' \
   -benchtime 0.1s -benchmem ./internal/sim/
 
 echo "== lock-manager benchmark smoke"
@@ -108,5 +111,21 @@ go test -race -count=1 ./internal/fault/ ./internal/recovery/
 go test -run 'TestFault' -count=1 ./internal/core/
 go run ./cmd/experiments -fig ft -scale 0.02 -q >/dev/null
 go run ./cmd/ddbsim -simtime 60 -warmup 10 -think 4 -logging -mttf 20 >/dev/null
+
+echo "== benchmark-of-record smoke"
+# The benchmark's own fold tests, then its shortest run (a warm-up pass and
+# three measured passes) on baseline and observed at the seed whose Result
+# fingerprints are recorded in _perfbench/fingerprints.json. The result
+# line must say correct: a fingerprint that drifted, an observed run whose
+# shared fields differ from baseline's, or a Chrome trace that fails its
+# structural check fails CI here as it fails the merge gate.
+(cd _perfbench && go test ./...)
+for workload in baseline observed; do
+  result=$(bash _perfbench/run.sh --workload "$workload" --seed 7 --seconds 0 --trace 0 2>/dev/null | tail -n 1)
+  if [[ "$result" != *'"correct":true'* ]]; then
+    echo "perfbench $workload at seed 7 is not correct: $result" >&2
+    exit 1
+  fi
+done
 
 echo "CI OK"

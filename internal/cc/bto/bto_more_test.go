@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func TestMultipleReadersBlockOnSamePendingWrite(t *testing.T) {
@@ -15,18 +17,17 @@ func TestMultipleReadersBlockOnSamePendingWrite(t *testing.T) {
 	granted := 0
 	for i := 0; i < 3; i++ {
 		r := newCo(int64(i+2), int64(20+i))
-		s.Spawn("reader", func(p *sim.Proc) {
-			r.Proc = p
-			if m.Access(r, pg(1), false) == cc.Granted {
+		var out cc.Outcome
+		simtest.Go(s, cctest.Access(m, r, pg(1), false, &out), simtest.Do(func() {
+			if out == cc.Granted {
 				granted++
 			}
-		})
+		}))
 	}
-	s.Spawn("committer", func(p *sim.Proc) {
-		p.Delay(10)
+	simtest.Go(s, simtest.Delay(10), simtest.Do(func() {
 		w.Txn.State = cc.Committing
 		m.Commit(w)
-	})
+	}))
 	s.Run(1000)
 	if granted != 3 {
 		t.Fatalf("%d of 3 blocked readers granted after commit", granted)
@@ -45,22 +46,20 @@ func TestReaderBlocksAcrossChainOfPendingWrites(t *testing.T) {
 	m.Access(w5, pg(1), true)
 	m.Access(w10, pg(1), true)
 	var grantedAt sim.Time
-	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		if m.Access(r20, pg(1), false) == cc.Granted {
+	var out cc.Outcome
+	simtest.Go(s, cctest.Access(m, r20, pg(1), false, &out), simtest.Do(func() {
+		if out == cc.Granted {
 			grantedAt = s.Now()
 		}
-	})
-	s.Spawn("c5", func(p *sim.Proc) {
-		p.Delay(10)
+	}))
+	simtest.Go(s, simtest.Delay(10), simtest.Do(func() {
 		w5.Txn.State = cc.Committing
 		m.Commit(w5)
-	})
-	s.Spawn("c10", func(p *sim.Proc) {
-		p.Delay(30)
+	}))
+	simtest.Go(s, simtest.Delay(30), simtest.Do(func() {
 		w10.Txn.State = cc.Committing
 		m.Commit(w10)
-	})
+	}))
 	s.Run(1000)
 	if grantedAt != 30 {
 		t.Fatalf("reader granted at %v, want 30 (after both pending writes)", grantedAt)
@@ -78,26 +77,21 @@ func TestWriteBetweenBlockedReaderAndItsWake(t *testing.T) {
 	m.Access(w10, pg(1), true)
 	var grantedAt sim.Time
 	var out cc.Outcome
-	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		out = m.Access(r20, pg(1), false)
-		grantedAt = s.Now()
-	})
-	s.Spawn("w15", func(p *sim.Proc) {
-		p.Delay(2)
+	simtest.Go(s,
+		cctest.Access(m, r20, pg(1), false, &out),
+		simtest.Do(func() { grantedAt = s.Now() }))
+	simtest.Go(s, simtest.Delay(2), simtest.Do(func() {
 		if m.Access(w15, pg(1), true) != cc.Granted {
 			t.Error("w15 rejected")
 		}
-	})
-	s.Spawn("c10", func(p *sim.Proc) {
-		p.Delay(10)
+	}))
+	simtest.Go(s, simtest.Delay(10), simtest.Do(func() {
 		w10.Txn.State = cc.Committing
 		m.Commit(w10)
-	})
-	s.Spawn("a15", func(p *sim.Proc) {
-		p.Delay(25)
+	}))
+	simtest.Go(s, simtest.Delay(25), simtest.Do(func() {
 		m.Abort(w15) // 15 aborts; reader reads version 10
-	})
+	}))
 	s.Run(1000)
 	if out != cc.Granted || grantedAt != 25 {
 		t.Fatalf("reader %v at %v, want granted at 25", out, grantedAt)
@@ -115,15 +109,11 @@ func TestWriteRejectedWhileReaderBlocked(t *testing.T) {
 	m := New().NewManager(cc.Env{Sim: s, Node: 0}).(*manager)
 	w10, r20 := newCo(1, 10), newCo(2, 20)
 	m.Access(w10, pg(1), true)
-	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		m.Access(r20, pg(1), false)
-	})
+	simtest.Go(s, cctest.Access(m, r20, pg(1), false, nil))
 	s.Run(10)
 	if m.page(pg(1)).rts != 0 {
 		t.Fatalf("blocked reader raised rts to %d before reading", m.page(pg(1)).rts)
 	}
-	s.Shutdown()
 }
 
 func TestAbortBeforeAnyAccessIsNoOp(t *testing.T) {

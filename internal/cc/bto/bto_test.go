@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func pg(n int) db.PageID { return db.PageID{File: 0, Page: n} }
@@ -123,16 +125,13 @@ func TestReadBlocksOnEarlierPendingWrite(t *testing.T) {
 	m.Access(w, pg(1), true) // pending write at 10
 	var out cc.Outcome
 	var at sim.Time
-	s.Spawn("reader", func(p *sim.Proc) {
-		r.Proc = p
-		out = m.Access(r, pg(1), false) // must wait for the pending write
-		at = s.Now()
-	})
-	s.Spawn("committer", func(p *sim.Proc) {
-		p.Delay(25)
+	simtest.Go(s,
+		cctest.Access(m, r, pg(1), false, &out), // must wait for the pending write
+		simtest.Do(func() { at = s.Now() }))
+	simtest.Go(s, simtest.Delay(25), simtest.Do(func() {
 		w.Txn.State = cc.Committing
 		m.Commit(w)
-	})
+	}))
 	s.Run(1000)
 	if out != cc.Granted || at != 25 {
 		t.Fatalf("reader %v at %v, want granted at 25", out, at)
@@ -161,15 +160,11 @@ func TestBlockedReadDeniedWhenVersionPasses(t *testing.T) {
 	m.Access(w10, pg(1), true)
 	m.Access(w25, pg(1), true)
 	var out cc.Outcome
-	s.Spawn("reader", func(p *sim.Proc) {
-		r20.Proc = p
-		out = m.Access(r20, pg(1), false)
-	})
-	s.Spawn("committer", func(p *sim.Proc) {
-		p.Delay(5)
+	simtest.Go(s, cctest.Access(m, r20, pg(1), false, &out))
+	simtest.Go(s, simtest.Delay(5), simtest.Do(func() {
 		w25.Txn.State = cc.Committing
 		m.Commit(w25) // wts = 25: the blocked reader at 20 is now too late
-	})
+	}))
 	s.Run(1000)
 	if out != cc.Aborted {
 		t.Fatalf("blocked reader outcome %v, want aborted (version passed it by)", out)
@@ -184,15 +179,12 @@ func TestAbortDiscardsPendingAndUnblocks(t *testing.T) {
 	m.Access(w, pg(1), true)
 	var out cc.Outcome
 	var at sim.Time
-	s.Spawn("reader", func(p *sim.Proc) {
-		r.Proc = p
-		out = m.Access(r, pg(1), false)
-		at = s.Now()
-	})
-	s.Spawn("aborter", func(p *sim.Proc) {
-		p.Delay(7)
+	simtest.Go(s,
+		cctest.Access(m, r, pg(1), false, &out),
+		simtest.Do(func() { at = s.Now() }))
+	simtest.Go(s, simtest.Delay(7), simtest.Do(func() {
 		m.Abort(w) // write never happens; reader reads committed version
-	})
+	}))
 	s.Run(1000)
 	if out != cc.Granted || at != 7 {
 		t.Fatalf("reader %v at %v, want granted at 7 (writer aborted)", out, at)
@@ -212,15 +204,11 @@ func TestAbortDeniesOwnBlockedRead(t *testing.T) {
 	r := newCo(2, 20)
 	m.Access(w, pg(1), true)
 	var out cc.Outcome
-	s.Spawn("reader", func(p *sim.Proc) {
-		r.Proc = p
-		out = m.Access(r, pg(1), false)
-	})
-	s.Spawn("aborter", func(p *sim.Proc) {
-		p.Delay(3)
+	simtest.Go(s, cctest.Access(m, r, pg(1), false, &out))
+	simtest.Go(s, simtest.Delay(3), simtest.Do(func() {
 		r.Txn.AbortRequested = true
 		m.Abort(r) // the reader's own transaction aborts while blocked
-	})
+	}))
 	s.Run(1000)
 	if out != cc.Aborted {
 		t.Fatalf("blocked reader %v after own abort, want aborted", out)

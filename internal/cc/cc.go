@@ -247,20 +247,29 @@ const (
 	// Aborted: the transaction must abort (either this access was rejected
 	// or the attempt was aborted while the cohort waited).
 	Aborted
+	// Blocked: the request is queued and the cohort waits. Its
+	// continuation (CohortMeta.K) is resumed when the verdict arrives, and
+	// the resumed step reads the verdict with CohortMeta.Unblocked.
+	Blocked
 )
 
+var outcomeNames = [...]string{Granted: "granted", Aborted: "aborted", Blocked: "blocked"}
+
 func (o Outcome) String() string {
-	if o == Granted {
-		return "granted"
+	if o >= 0 && int(o) < len(outcomeNames) {
+		return outcomeNames[o]
 	}
-	return "aborted"
+	return fmt.Sprintf("Outcome(%d)", int(o))
 }
 
 // CohortMeta is the per-node cohort of a transaction attempt as seen by
 // that node's concurrency control manager.
 type CohortMeta struct {
-	Txn  *TxnMeta
-	Proc *sim.Proc
+	Txn *TxnMeta
+	// K is the continuation of the process the cohort's requests run in:
+	// a blocked request resumes it with the verdict. The work phase and a
+	// deferred-write acquisition each point it at their own handle.
+	K    *sim.Cont
 	Node int
 
 	waiting     bool
@@ -306,22 +315,38 @@ func (c *CohortMeta) CrashReset() {
 	c.BlockedInDoubt = false
 }
 
-// Block parks the cohort's process until Grant or Deny, returning the
-// verdict. It must be called from the cohort's own process. If the verdict
-// arrived before the cohort parked (a queued request can be granted
-// synchronously when its blocker releases), Block returns immediately.
+// Block parks the cohort on a queued request; a manager's Access returns
+// its result. If the verdict arrived before the cohort parked (a queued
+// request can be granted synchronously when its blocker releases), Block
+// returns that verdict and the cohort continues inline. Otherwise it
+// returns Blocked: Grant or Deny later resumes c.K, and the resumed step
+// calls Unblocked.
 func (c *CohortMeta) Block() Outcome {
 	if c.resolved {
 		c.resolved = false
 		return c.waitOutcome
 	}
 	c.waiting = true
-	c.blockedAt = c.Proc.Sim().Now()
-	c.Proc.Suspend()
+	c.blockedAt = c.K.Sim().Now()
+	return Blocked
+}
+
+// Unblocked returns the verdict that ended a blocking episode, reporting
+// the episode's duration to OnBlocked first. The cohort's step calls it
+// when its continuation fires after Access returned Blocked.
+func (c *CohortMeta) Unblocked() Outcome {
+	out, d := c.Verdict()
 	if c.OnBlocked != nil {
-		c.OnBlocked(c, c.Proc.Sim().Now()-c.blockedAt)
+		c.OnBlocked(c, d)
 	}
-	return c.waitOutcome
+	return out
+}
+
+// Verdict is Unblocked for a caller that observes the episode itself: it
+// returns the verdict and the episode's duration without calling
+// OnBlocked.
+func (c *CohortMeta) Verdict() (Outcome, sim.Time) {
+	return c.waitOutcome, c.K.Sim().Now() - c.blockedAt
 }
 
 // Waiting reports whether the cohort is parked in Block.
@@ -342,20 +367,20 @@ func (c *CohortMeta) release(o Outcome) {
 	}
 	c.waiting = false
 	c.waitOutcome = o
-	c.Proc.Resume()
+	c.K.Resume()
 }
 
 // Manager is one node's concurrency control manager. All methods run in
-// simulation context (from a process or an event callback); Access may block
-// the calling cohort's process.
+// simulation context (from a process step or an event callback); Access
+// may park the calling cohort.
 type Manager interface {
 	// Kind identifies the algorithm.
 	Kind() Kind
 	// Access requests permission to read (write=false) or write (write=true)
 	// a page stored at this node. For updated pages the transaction manager
 	// first requests read access and later write access on the same page,
-	// modelling read-lock-then-upgrade. Access blocks inside as needed and
-	// returns Granted or Aborted.
+	// modelling read-lock-then-upgrade. Access returns Granted or Aborted,
+	// or Blocked when the cohort must wait (see CohortMeta.Block).
 	Access(co *CohortMeta, page db.PageID, write bool) Outcome
 	// Prepare runs the local first phase of commit for the cohort and
 	// returns its vote. For OPT this performs local certification against
@@ -373,9 +398,9 @@ type Manager interface {
 // DeferredWriter is implemented by managers that support deferring write
 // permission requests (remote-copy write locks) to the first phase of the
 // commit protocol, per [Care89]. PrepareDeferred acquires write permission
-// on each page — blocking in a fresh process as needed — and then reports
-// whether the cohort can vote yes. It must tolerate the transaction being
-// aborted while it waits (reporting false).
+// on each page — waiting in a process of its own as needed — and then
+// reports whether the cohort can vote yes. It must tolerate the
+// transaction being aborted while it waits (reporting false).
 type DeferredWriter interface {
 	PrepareDeferred(co *CohortMeta, pages []db.PageID, done func(ok bool))
 }
@@ -402,7 +427,7 @@ type GlobalEnv interface {
 type Algorithm interface {
 	Kind() Kind
 	NewManager(env Env) Manager
-	// StartGlobal launches algorithm-global processes (e.g. the Snoop
+	// StartGlobal starts algorithm-global processes (e.g. the Snoop
 	// deadlock detector). Called once after all managers exist; may be a
 	// no-op.
 	StartGlobal(g GlobalEnv)

@@ -3,8 +3,46 @@ package cc
 import (
 	"testing"
 
+	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
+
+// await is a script step that runs req — a request that may park co —
+// with co's continuation set to the process's, waits for the verdict if
+// req returned Blocked, and stores the verdict in *out (nil drops it).
+// (Package cctest offers the same step to the algorithm packages.)
+func await(co *CohortMeta, req func() Outcome, out *Outcome) simtest.Step {
+	blocked := false
+	return func(k *sim.Cont) bool {
+		var o Outcome
+		if blocked {
+			blocked = false
+			o = co.Unblocked()
+		} else {
+			co.K = k
+			if o = req(); o == Blocked {
+				blocked = true
+				return true
+			}
+		}
+		if out != nil {
+			*out = o
+		}
+		return false
+	}
+}
+
+// lockStep is a script step requesting page in mode from lt for co and
+// waiting out a queued request; the verdict lands in *out.
+func lockStep(lt *LockTable, co *CohortMeta, page db.PageID, mode LockMode, out *Outcome) simtest.Step {
+	return await(co, func() Outcome {
+		if ok, _ := lt.Lock(co, page, mode); ok {
+			return Granted
+		}
+		return co.Block()
+	}, out)
+}
 
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
@@ -110,21 +148,17 @@ func TestAbortable(t *testing.T) {
 
 func TestCohortBlockGrant(t *testing.T) {
 	s := sim.New(1)
-	var co *CohortMeta
 	var out Outcome
 	var blockedFor sim.Time
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co = &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p,
-			OnBlocked: func(_ *CohortMeta, d sim.Time) { blockedFor = d }}
-		out = co.Block()
-	})
-	s.Spawn("granter", func(p *sim.Proc) {
-		p.Delay(15)
+	co := &CohortMeta{Txn: &TxnMeta{ID: 1},
+		OnBlocked: func(_ *CohortMeta, d sim.Time) { blockedFor = d }}
+	simtest.Go(s, await(co, co.Block, &out))
+	simtest.Go(s, simtest.Delay(15), simtest.Do(func() {
 		if !co.Waiting() {
 			t.Error("cohort not marked waiting")
 		}
 		co.Grant()
-	})
+	}))
 	s.Run(100)
 	if out != Granted {
 		t.Errorf("outcome %v, want granted", out)
@@ -139,16 +173,10 @@ func TestCohortBlockGrant(t *testing.T) {
 
 func TestCohortBlockDeny(t *testing.T) {
 	s := sim.New(1)
-	var co *CohortMeta
 	var out Outcome
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co = &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p}
-		out = co.Block()
-	})
-	s.Spawn("denier", func(p *sim.Proc) {
-		p.Delay(5)
-		co.Deny()
-	})
+	co := &CohortMeta{Txn: &TxnMeta{ID: 1}}
+	simtest.Go(s, await(co, co.Block, &out))
+	simtest.Go(s, simtest.Delay(5), simtest.Do(co.Deny))
 	s.Run(100)
 	if out != Aborted {
 		t.Errorf("outcome %v, want aborted", out)
@@ -161,13 +189,15 @@ func TestGrantBeforeBlockPreResolves(t *testing.T) {
 	s := sim.New(1)
 	var out Outcome
 	var tookTime bool
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co := &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p}
-		co.Grant() // verdict arrives before Block
-		start := s.Now()
-		out = co.Block()
-		tookTime = s.Now() != start
-	})
+	co := &CohortMeta{Txn: &TxnMeta{ID: 1}}
+	var start sim.Time
+	simtest.Go(s,
+		simtest.Do(func() {
+			co.Grant() // verdict arrives before Block
+			start = s.Now()
+		}),
+		await(co, co.Block, &out),
+		simtest.Do(func() { tookTime = s.Now() != start }))
 	s.Run(10)
 	if out != Granted {
 		t.Errorf("outcome %v, want granted", out)
@@ -175,16 +205,16 @@ func TestGrantBeforeBlockPreResolves(t *testing.T) {
 	if tookTime {
 		t.Error("pre-resolved Block consumed simulated time")
 	}
+	if n := s.EventsDispatched(); n != 1 {
+		t.Errorf("%d events dispatched, want 1: a pre-resolved Block continues inline", n)
+	}
 }
 
 func TestDenyBeforeBlockPreResolves(t *testing.T) {
 	s := sim.New(1)
 	var out Outcome
-	s.Spawn("cohort", func(p *sim.Proc) {
-		co := &CohortMeta{Txn: &TxnMeta{ID: 1}, Proc: p}
-		co.Deny()
-		out = co.Block()
-	})
+	co := &CohortMeta{Txn: &TxnMeta{ID: 1}}
+	simtest.Go(s, simtest.Do(co.Deny), await(co, co.Block, &out))
 	s.Run(10)
 	if out != Aborted {
 		t.Errorf("outcome %v, want aborted", out)
@@ -192,7 +222,10 @@ func TestDenyBeforeBlockPreResolves(t *testing.T) {
 }
 
 func TestOutcomeString(t *testing.T) {
-	if Granted.String() != "granted" || Aborted.String() != "aborted" {
+	if Granted.String() != "granted" || Aborted.String() != "aborted" || Blocked.String() != "blocked" {
 		t.Error("outcome strings wrong")
+	}
+	if Outcome(9).String() != "Outcome(9)" {
+		t.Errorf("out-of-range outcome renders %q", Outcome(9).String())
 	}
 }

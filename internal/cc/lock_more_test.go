@@ -5,6 +5,7 @@ import (
 
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func TestUpgradeQueuesBehindEarlierUpgrade(t *testing.T) {
@@ -92,19 +93,8 @@ func TestPromoteAfterDownToZeroHolders(t *testing.T) {
 	a, b := fakeCohort(1), fakeCohort(2)
 	lt.Lock(a, pg(1), LockX)
 	var got Outcome
-	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
-		if ok, _ := lt.Lock(b, pg(1), LockX); !ok {
-			got = b.Block()
-		} else {
-			got = Granted
-		}
-		lt.ReleaseAll(b)
-	})
-	s.Spawn("rel", func(p *sim.Proc) {
-		p.Delay(5)
-		lt.ReleaseAll(a)
-	})
+	simtest.Go(s, lockStep(lt, b, pg(1), LockX, &got), simtest.Do(func() { lt.ReleaseAll(b) }))
+	simtest.Go(s, simtest.Delay(5), simtest.Do(func() { lt.ReleaseAll(a) }))
 	s.Run(100)
 	if got != Granted {
 		t.Fatalf("outcome %v", got)

@@ -7,11 +7,13 @@ import (
 
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 // fakeCohort builds a cohort that is never actually blocked in a process;
 // for pure lock-table tests we only exercise enqueue/grant bookkeeping via
-// the Waiting flag, so we give it a process lazily when needed.
+// the Waiting flag, so a scripted process sets its continuation when
+// needed.
 func fakeCohort(id int64) *CohortMeta {
 	return &CohortMeta{Txn: &TxnMeta{ID: id, TS: id}}
 }
@@ -91,27 +93,21 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 	lt.Lock(a, pg(1), LockS)
 	lt.Lock(b, pg(1), LockS)
 
-	var upgraded bool
-	s.Spawn("upgrader", func(p *sim.Proc) {
-		a.Proc = p
+	var out Outcome
+	simtest.Go(s, await(a, func() Outcome {
 		ok, conflicts := lt.Lock(a, pg(1), LockX)
 		if ok {
 			t.Error("upgrade granted with another reader present")
-			return
+			return Aborted
 		}
 		if len(conflicts) != 1 || conflicts[0] != b {
 			t.Errorf("upgrade conflicts %v, want [b]", conflicts)
 		}
-		if a.Block() == Granted {
-			upgraded = true
-		}
-	})
-	s.Spawn("releaser", func(p *sim.Proc) {
-		p.Delay(10)
-		lt.ReleaseAll(b)
-	})
+		return a.Block()
+	}, &out))
+	simtest.Go(s, simtest.Delay(10), simtest.Do(func() { lt.ReleaseAll(b) }))
 	s.Run(100)
-	if !upgraded {
+	if out != Granted {
 		t.Fatal("upgrade never granted after reader release")
 	}
 	if m, _ := lt.Holds(a, pg(1)); m != LockX {
@@ -129,27 +125,20 @@ func TestUpgradeJumpsQueue(t *testing.T) {
 	lt.Lock(b, pg(1), LockS)
 
 	var order []string
-	s.Spawn("c-writer", func(p *sim.Proc) {
-		c.Proc = p
-		if ok, _ := lt.Lock(c, pg(1), LockX); !ok {
-			c.Block()
-		}
-		order = append(order, "c")
-		lt.ReleaseAll(c)
-	})
-	s.Spawn("a-upgrader", func(p *sim.Proc) {
-		a.Proc = p
-		p.Delay(1)
-		if ok, _ := lt.Lock(a, pg(1), LockX); !ok {
-			a.Block()
-		}
-		order = append(order, "a")
-		lt.ReleaseAll(a)
-	})
-	s.Spawn("b-releaser", func(p *sim.Proc) {
-		p.Delay(5)
-		lt.ReleaseAll(b)
-	})
+	simtest.Go(s,
+		lockStep(lt, c, pg(1), LockX, nil),
+		simtest.Do(func() {
+			order = append(order, "c")
+			lt.ReleaseAll(c)
+		}))
+	simtest.Go(s,
+		simtest.Delay(1),
+		lockStep(lt, a, pg(1), LockX, nil),
+		simtest.Do(func() {
+			order = append(order, "a")
+			lt.ReleaseAll(a)
+		}))
+	simtest.Go(s, simtest.Delay(5), simtest.Do(func() { lt.ReleaseAll(b) }))
 	s.Run(100)
 	if len(order) != 2 || order[0] != "a" || order[1] != "c" {
 		t.Fatalf("service order %v, want upgrade (a) before queued writer (c)", order)
@@ -188,20 +177,16 @@ func TestReleasePromotesBatchOfReaders(t *testing.T) {
 	granted := 0
 	for i := 0; i < 3; i++ {
 		r := fakeCohort(int64(10 + i))
-		s.Spawn("reader", func(p *sim.Proc) {
-			r.Proc = p
-			if ok, _ := lt.Lock(r, pg(1), LockS); !ok {
-				if r.Block() != Granted {
-					return
+		var out Outcome
+		simtest.Go(s,
+			lockStep(lt, r, pg(1), LockS, &out),
+			simtest.Do(func() {
+				if out == Granted {
+					granted++
 				}
-			}
-			granted++
-		})
+			}))
 	}
-	s.Spawn("releaser", func(p *sim.Proc) {
-		p.Delay(10)
-		lt.ReleaseAll(w)
-	})
+	simtest.Go(s, simtest.Delay(10), simtest.Do(func() { lt.ReleaseAll(w) }))
 	s.Run(100)
 	if granted != 3 {
 		t.Fatalf("%d readers granted after X release, want all 3 (batch promote)", granted)
@@ -213,33 +198,17 @@ func TestRemoveWaiterPromotes(t *testing.T) {
 	lt := NewLockTable()
 	a, b, c := fakeCohort(1), fakeCohort(2), fakeCohort(3)
 	lt.Lock(a, pg(1), LockS)
-	var cGranted bool
-	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
-		if ok, _ := lt.Lock(b, pg(1), LockX); !ok {
-			b.Block() // will be removed, not denied, in this test
-		}
-	})
-	s.Spawn("c", func(p *sim.Proc) {
-		c.Proc = p
-		p.Delay(1)
-		if ok, _ := lt.Lock(c, pg(1), LockS); !ok {
-			if c.Block() == Granted {
-				cGranted = true
-			}
-			return
-		}
-		cGranted = true
-	})
-	s.Spawn("cleanup", func(p *sim.Proc) {
-		p.Delay(5)
+	var cOut Outcome
+	simtest.Go(s, lockStep(lt, b, pg(1), LockX, nil)) // removed, then denied, below
+	simtest.Go(s, simtest.Delay(1), lockStep(lt, c, pg(1), LockS, &cOut))
+	simtest.Go(s, simtest.Delay(5), simtest.Do(func() {
 		lt.RemoveWaiter(b)
 		if b.Waiting() {
 			b.Deny()
 		}
-	})
+	}))
 	s.Run(100)
-	if !cGranted {
+	if cOut != Granted {
 		t.Fatal("removing the queued X did not unblock the compatible S behind it")
 	}
 }
@@ -358,36 +327,17 @@ func TestLockTableRandomOpsInvariants(t *testing.T) {
 		for i := 0; i < nCohorts; i++ {
 			co := fakeCohort(int64(i + 1))
 			cohorts = append(cohorts, co)
-			s.Spawn("cohort", func(p *sim.Proc) {
-				co.Proc = p
-				for j := 0; j < 10; j++ {
-					p.Delay(float64(r.Intn(5)))
-					page := pg(r.Intn(4))
-					mode := LockS
-					if r.Intn(2) == 0 {
-						mode = LockX
-					}
-					granted, _ := lt.Lock(co, page, mode)
-					if !granted {
-						if co.Block() == Aborted {
-							break
-						}
-					}
-					check()
-					p.Delay(float64(r.Intn(3)))
-					if r.Intn(3) == 0 {
-						lt.ReleaseAll(co)
-					}
-				}
-				lt.ReleaseAll(co)
-				check()
-			})
+			l := &randomLocker{lt: lt, co: co, r: r, check: check}
+			co.K = &l.k
+			l.k.Init(s, l.step)
+			l.k.Resume()
 		}
 		// A watchdog breaks deadlocks the random workload creates, playing
 		// the role of the deadlock detector.
-		s.Spawn("watchdog", func(p *sim.Proc) {
-			for {
-				p.Delay(20)
+		var watchdog sim.Cont
+		started := false
+		watchdog.Init(s, func() {
+			if started {
 				victims := FindVictims(lt.WaitsForEdges(0))
 				for _, v := range victims {
 					v.AbortRequested = true
@@ -403,12 +353,80 @@ func TestLockTableRandomOpsInvariants(t *testing.T) {
 					}
 				}
 			}
+			started = true
+			watchdog.Delay(20)
 		})
+		watchdog.Resume()
 		s.Run(10000)
 		check()
 		return ok && lt.Empty()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// randomLocker is one cohort of the randomized lock-table property test:
+// ten rounds of think, lock a random page in a random mode (waiting out a
+// queued request), hold, and sometimes release — stopping early when
+// denied — then release everything.
+type randomLocker struct {
+	k     sim.Cont
+	lt    *LockTable
+	co    *CohortMeta
+	r     *rand.Rand
+	check func()
+	round int
+	stage int
+}
+
+func (l *randomLocker) step() {
+	for {
+		switch l.stage {
+		case 0: // think before the next request
+			if l.round == 10 {
+				l.lt.ReleaseAll(l.co)
+				l.check()
+				return
+			}
+			l.stage = 1
+			l.k.Delay(float64(l.r.Intn(5)))
+			return
+		case 1: // request
+			page := pg(l.r.Intn(4))
+			mode := LockS
+			if l.r.Intn(2) == 0 {
+				mode = LockX
+			}
+			l.stage = 3
+			if granted, _ := l.lt.Lock(l.co, page, mode); !granted {
+				out := l.co.Block()
+				if out == Blocked {
+					l.stage = 2
+					return
+				}
+				if out == Aborted {
+					l.round = 10
+					l.stage = 0
+				}
+			}
+		case 2: // resumed with the verdict
+			l.stage = 3
+			if l.co.Unblocked() == Aborted {
+				l.round = 10
+				l.stage = 0
+			}
+		case 3: // hold
+			l.check()
+			l.stage = 4
+			l.k.Delay(float64(l.r.Intn(3)))
+			return
+		case 4: // maybe release early
+			if l.r.Intn(3) == 0 {
+				l.lt.ReleaseAll(l.co)
+			}
+			l.round++
+			l.stage = 0
+		}
 	}
 }

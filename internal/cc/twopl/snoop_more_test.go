@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 // buildThreeNodeCycle sets up T1->T2->T3->T1 across three nodes: Ti holds
@@ -35,21 +37,25 @@ func buildThreeNodeCycle(t *testing.T, s *sim.Sim, alg *Algorithm) (mgrs []cc.Ma
 				}
 			})
 		}
-		s.Spawn("txn", func(p *sim.Proc) {
-			coHold.Proc = p
-			coWant.Proc = p
-			if mgrs[holdAt].Access(coHold, page, true) != cc.Granted {
-				outs[id] = cc.Aborted
-				return
-			}
-			p.Delay(5)
-			outs[id] = mgrs[wantAt].Access(coWant, page, true)
-			if outs[id] == cc.Granted {
-				txn.State = cc.Committing
-				mgrs[holdAt].Commit(coHold)
-				mgrs[wantAt].Commit(coWant)
-			}
-		})
+		var held, want cc.Outcome
+		simtest.Go(s,
+			cctest.Access(mgrs[holdAt], coHold, page, true, &held),
+			simtest.When(func() bool {
+				if held != cc.Granted {
+					outs[id] = cc.Aborted
+				}
+				return held == cc.Granted
+			},
+				simtest.Delay(5),
+				cctest.Access(mgrs[wantAt], coWant, page, true, &want),
+				simtest.Do(func() {
+					outs[id] = want
+					if want == cc.Granted {
+						txn.State = cc.Committing
+						mgrs[holdAt].Commit(coHold)
+						mgrs[wantAt].Commit(coWant)
+					}
+				})))
 	}
 	return mgrs, outs
 }

@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func TestTimeoutBreaksDeadlock(t *testing.T) {
@@ -23,24 +25,24 @@ func TestTimeoutBreaksDeadlock(t *testing.T) {
 		}
 	}
 	out := map[int64]cc.Outcome{}
-	s.Spawn("a", func(p *sim.Proc) {
-		a.Proc = p
-		m.Access(a, pg(1), true)
-		p.Delay(10)
-		out[1] = m.Access(a, pg(2), true)
-		if out[1] == cc.Granted {
-			a.Txn.State = cc.Committing
-			m.Commit(a)
-		}
-	})
-	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
-		p.Delay(1)
-		m.Access(b, pg(2), true)
-		p.Delay(10)
-		out[2] = m.Access(b, pg(1), true)
-	})
+	var outA, outB cc.Outcome
+	simtest.Go(s,
+		cctest.Access(m, a, pg(1), true, nil),
+		simtest.Delay(10),
+		cctest.Access(m, a, pg(2), true, &outA),
+		simtest.Do(func() {
+			if outA == cc.Granted {
+				a.Txn.State = cc.Committing
+				m.Commit(a)
+			}
+		}))
+	simtest.Go(s,
+		simtest.Delay(1),
+		cctest.Access(m, b, pg(2), true, nil),
+		simtest.Delay(10),
+		cctest.Access(m, b, pg(1), true, &outB))
 	s.Run(10000)
+	out[1], out[2] = outA, outB
 	// Both wait; both time out around t=110-111 (no detection picks a
 	// single victim in the pure timeout scheme) — the essential behaviour
 	// is that neither waits forever.
@@ -59,22 +61,22 @@ func TestTimeoutNotFiredOnShortWait(t *testing.T) {
 	waiter := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	waiter.Txn.OnAbort = func(int, string) { t.Error("short wait aborted") }
 	var out cc.Outcome
-	s.Spawn("holder", func(p *sim.Proc) {
-		holder.Proc = p
-		m.Access(holder, pg(1), true)
-		p.Delay(50) // well under the timeout
-		holder.Txn.State = cc.Committing
-		m.Commit(holder)
-	})
-	s.Spawn("waiter", func(p *sim.Proc) {
-		waiter.Proc = p
-		p.Delay(1)
-		out = m.Access(waiter, pg(1), true)
-		if out == cc.Granted {
-			waiter.Txn.State = cc.Committing
-			m.Commit(waiter)
-		}
-	})
+	simtest.Go(s,
+		cctest.Access(m, holder, pg(1), true, nil),
+		simtest.Delay(50), // well under the timeout
+		simtest.Do(func() {
+			holder.Txn.State = cc.Committing
+			m.Commit(holder)
+		}))
+	simtest.Go(s,
+		simtest.Delay(1),
+		cctest.Access(m, waiter, pg(1), true, &out),
+		simtest.Do(func() {
+			if out == cc.Granted {
+				waiter.Txn.State = cc.Committing
+				m.Commit(waiter)
+			}
+		}))
 	s.Run(10000)
 	if out != cc.Granted {
 		t.Fatalf("waiter outcome %v", out)
@@ -124,18 +126,17 @@ func TestPrepareDeferredDeadlockVictimVotesNo(t *testing.T) {
 	}
 	votes := map[int64]bool{}
 	// Work phase: each transaction already holds one page...
-	s.Spawn("setup", func(p *sim.Proc) {
-		old.Proc = p
-		young.Proc = p
-		m.Access(old, pg(1), true)
-		m.Access(young, pg(2), true)
-		old.Txn.State = cc.Preparing
-		young.Txn.State = cc.Preparing
-		// ...and each defers its write lock on the other's page: a cycle
-		// that only forms during the prepare phase.
-		m.PrepareDeferred(old, []db.PageID{pg(2)}, func(ok bool) { votes[1] = ok })
-		m.PrepareDeferred(young, []db.PageID{pg(1)}, func(ok bool) { votes[2] = ok })
-	})
+	simtest.Go(s,
+		cctest.Access(m, old, pg(1), true, nil),
+		cctest.Access(m, young, pg(2), true, nil),
+		simtest.Do(func() {
+			old.Txn.State = cc.Preparing
+			young.Txn.State = cc.Preparing
+			// ...and each defers its write lock on the other's page: a
+			// cycle that only forms during the prepare phase.
+			m.PrepareDeferred(old, []db.PageID{pg(2)}, func(ok bool) { votes[1] = ok })
+			m.PrepareDeferred(young, []db.PageID{pg(1)}, func(ok bool) { votes[2] = ok })
+		}))
 	s.Run(10000)
 	if len(votes) != 2 {
 		t.Fatalf("votes %v: a deferred prepare never completed", votes)
@@ -172,30 +173,30 @@ func TestStaleTimerDoesNotAbortLaterWait(t *testing.T) {
 	h2 := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	w := &cc.CohortMeta{Txn: newTxn(3), Node: 0}
 	w.Txn.OnAbort = func(int, string) { t.Error("stale timer aborted a healthy wait") }
-	s.Spawn("h1", func(p *sim.Proc) {
-		h1.Proc = p
-		m.Access(h1, pg(1), true)
-		p.Delay(50)
-		h1.Txn.State = cc.Committing
-		m.Commit(h1) // releases pg1 at t=50, waiter 1st wait lasted 49ms
-	})
-	s.Spawn("h2", func(p *sim.Proc) {
-		h2.Proc = p
-		m.Access(h2, pg(2), true)
-		p.Delay(130)
-		h2.Txn.State = cc.Committing
-		m.Commit(h2) // releases pg2 at t=130; waiter's 2nd wait = 80ms < 100
-	})
-	var out cc.Outcome
-	s.Spawn("w", func(p *sim.Proc) {
-		w.Proc = p
-		p.Delay(1)
-		if m.Access(w, pg(1), true) != cc.Granted { // waits 1..50
-			t.Error("first wait failed")
-			return
-		}
-		out = m.Access(w, pg(2), true) // waits 50..130; stale timer fires ~101
-	})
+	simtest.Go(s,
+		cctest.Access(m, h1, pg(1), true, nil),
+		simtest.Delay(50),
+		simtest.Do(func() {
+			h1.Txn.State = cc.Committing
+			m.Commit(h1) // releases pg1 at t=50, waiter 1st wait lasted 49ms
+		}))
+	simtest.Go(s,
+		cctest.Access(m, h2, pg(2), true, nil),
+		simtest.Delay(130),
+		simtest.Do(func() {
+			h2.Txn.State = cc.Committing
+			m.Commit(h2) // releases pg2 at t=130; waiter's 2nd wait = 80ms < 100
+		}))
+	var first, out cc.Outcome
+	simtest.Go(s,
+		simtest.Delay(1),
+		cctest.Access(m, w, pg(1), true, &first), // waits 1..50
+		simtest.When(func() bool {
+			if first != cc.Granted {
+				t.Error("first wait failed")
+			}
+			return first == cc.Granted
+		}, cctest.Access(m, w, pg(2), true, &out))) // waits 50..130; stale timer fires ~101
 	s.Run(10000)
 	if out != cc.Granted {
 		t.Fatalf("second wait outcome %v, want granted", out)
@@ -217,24 +218,27 @@ func TestPrepareDeferredUpgradesHeldReadLock(t *testing.T) {
 	other := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	other.Txn.OnAbort = func(int, string) { s.After(1, func() { m.Abort(other) }) }
 	var vote bool
-	s.Spawn("setup", func(p *sim.Proc) {
-		co.Proc = p
-		other.Proc = p
-		if m.Access(co, pg(1), false) != cc.Granted {
-			t.Error("read rejected")
-			return
-		}
-		if m.Access(other, pg(1), false) != cc.Granted {
-			t.Error("second read rejected")
-			return
-		}
-		co.Txn.State = cc.Preparing
-		m.PrepareDeferred(co, []db.PageID{pg(1)}, func(ok bool) { vote = ok })
-		// The upgrade waits for the other reader; release it shortly.
-		p.Delay(10)
-		other.Txn.State = cc.Committing
-		m.Commit(other)
-	})
+	var reads [2]cc.Outcome
+	simtest.Go(s,
+		cctest.Access(m, co, pg(1), false, &reads[0]),
+		cctest.Access(m, other, pg(1), false, &reads[1]),
+		simtest.When(func() bool {
+			if reads != [2]cc.Outcome{cc.Granted, cc.Granted} {
+				t.Errorf("reads %v, want both granted", reads)
+				return false
+			}
+			return true
+		},
+			simtest.Do(func() {
+				co.Txn.State = cc.Preparing
+				m.PrepareDeferred(co, []db.PageID{pg(1)}, func(ok bool) { vote = ok })
+			}),
+			// The upgrade waits for the other reader; release it shortly.
+			simtest.Delay(10),
+			simtest.Do(func() {
+				other.Txn.State = cc.Committing
+				m.Commit(other)
+			})))
 	s.Run(1000)
 	if !vote {
 		t.Fatal("upgrade-at-prepare never granted")

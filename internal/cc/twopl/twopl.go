@@ -4,6 +4,9 @@
 // process that periodically gathers the waits-for graphs of every node to
 // resolve global deadlocks. Deadlocks are broken by aborting the most
 // recently started transaction in the cycle.
+//
+// The Snoop and the deferred-write acquisitions are simulation processes
+// written as state machines over a sim.Cont (see package sim).
 package twopl
 
 import (
@@ -95,6 +98,8 @@ type manager struct {
 	// detector per manager make the block path allocation-free.
 	edgeBuf []cc.Edge
 	det     cc.Detector
+	// deferredFree recycles finished deferred-write acquisitions.
+	deferredFree []*deferredLocks
 }
 
 // Timeouts returns how many lock-wait timeouts this node fired (only in
@@ -173,21 +178,65 @@ func (m *manager) Abort(co *cc.CohortMeta) {
 }
 
 // PrepareDeferred acquires the deferred remote-copy write locks during the
-// first phase of commit ([Care89], paper footnote 13). It runs in a fresh
-// process at this node (the cohort's work-phase process has finished) and
-// may block on each lock like any other request — including becoming a
-// deadlock victim, in which case it reports a no vote.
+// first phase of commit ([Care89], paper footnote 13). It runs as a
+// process of its own at this node (the cohort's work phase has finished),
+// starting at the current time, and may block on each lock like any
+// other request — including becoming a deadlock victim, in which case it
+// reports a no vote.
 func (m *manager) PrepareDeferred(co *cc.CohortMeta, pages []db.PageID, done func(ok bool)) {
-	m.env.Sim.Spawn("deferred-locks", func(p *sim.Proc) {
-		co.Proc = p
-		for _, page := range pages {
-			if m.Access(co, page, true) == cc.Aborted {
-				done(false)
-				return
-			}
+	var d *deferredLocks
+	if n := len(m.deferredFree); n > 0 {
+		d = m.deferredFree[n-1]
+		m.deferredFree[n-1] = nil
+		m.deferredFree = m.deferredFree[:n-1]
+	} else {
+		d = &deferredLocks{m: m}
+		d.k.Init(m.env.Sim, d.step)
+	}
+	d.co, d.pages, d.next, d.done = co, pages, -1, done
+	d.k.Resume()
+}
+
+// deferredLocks is one PrepareDeferred process: it requests write
+// permission on pages[next] in turn, waiting out each blocked request.
+// next is -1 until the process starts.
+type deferredLocks struct {
+	k     sim.Cont
+	m     *manager
+	co    *cc.CohortMeta
+	pages []db.PageID
+	next  int
+	done  func(ok bool)
+}
+
+func (d *deferredLocks) step() {
+	if d.next < 0 {
+		d.co.K = &d.k
+		d.next = 0
+	} else if d.co.Unblocked() == cc.Aborted {
+		d.finish(false)
+		return
+	} else {
+		d.next++
+	}
+	for ; d.next < len(d.pages); d.next++ {
+		switch d.m.Access(d.co, d.pages[d.next], true) {
+		case cc.Blocked:
+			return
+		case cc.Aborted:
+			d.finish(false)
+			return
 		}
-		done(true)
-	})
+	}
+	d.finish(true)
+}
+
+// finish recycles the process and reports the verdict.
+func (d *deferredLocks) finish(ok bool) {
+	done := d.done
+	d.co, d.pages, d.done = nil, nil, nil
+	d.m.deferredFree = append(d.m.deferredFree, d)
+	done(ok)
 }
 
 // snoopNode is the Snoop's per-node state: the node's manager and the
@@ -199,7 +248,7 @@ type snoopNode struct {
 	edges []cc.Edge
 }
 
-// StartGlobal launches the Snoop process: each node in turn waits
+// snoop is the rotating global deadlock detector: each node in turn waits
 // DetectionIntervalMs, gathers waits-for edges from all other nodes via
 // real (CPU-costed) messages, resolves global cycles, and passes the role
 // to the next node round-robin.
@@ -209,6 +258,22 @@ type snoopNode struct {
 // reused buffer, so the rounds themselves — which run for the whole
 // simulation at the detection interval — are allocation-free in steady
 // state.
+type snoop struct {
+	k        sim.Cont
+	a        *Algorithm
+	g        cc.GlobalEnv
+	mail     sim.Mailbox
+	nodes    []snoopNode
+	requests [][]func() // [snoop node][polled node]
+	all      []cc.Edge
+	det      cc.Detector // reused across rounds; victims are consumed before the next one
+	node     int         // the node holding the Snoop role
+	expect   int         // replies this round asked for
+	got      int         // replies consumed so far
+	round    bool        // a round's requests are out
+}
+
+// StartGlobal starts the Snoop process at the current time.
 func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 	if a.WaitTimeoutMs > 0 {
 		return // timeout scheme: no Snoop
@@ -217,58 +282,69 @@ func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 	if n < 2 {
 		return // local detection already sees the whole graph
 	}
-	g.Sim().Spawn("snoop", func(p *sim.Proc) {
-		mail := g.Sim().NewMailbox()
-		nodes := make([]snoopNode, n)
-		for o := range nodes {
-			nodes[o].mgr = g.ManagerAt(o).(*manager)
-		}
-		requests := make([][]func(), n)
-		for at := 0; at < n; at++ {
-			requests[at] = make([]func(), n)
-			for o := 0; o < n; o++ {
-				if o == at {
-					continue
-				}
-				at, o, nd := at, o, &nodes[o]
-				reply := func() { mail.Send(&nd.edges) }
-				requests[at][o] = func() {
-					nd.edges = nd.mgr.lt.AppendWaitsForEdges(o, nd.edges[:0])
-					g.SendControl(o, at, reply)
-				}
+	sn := &snoop{a: a, g: g, nodes: make([]snoopNode, n)}
+	for o := range sn.nodes {
+		sn.nodes[o].mgr = g.ManagerAt(o).(*manager)
+	}
+	sn.requests = make([][]func(), n)
+	for at := 0; at < n; at++ {
+		sn.requests[at] = make([]func(), n)
+		for o := 0; o < n; o++ {
+			if o == at {
+				continue
+			}
+			at, o, nd := at, o, &sn.nodes[o]
+			reply := func() { sn.mail.Send(&nd.edges) }
+			sn.requests[at][o] = func() {
+				nd.edges = nd.mgr.lt.AppendWaitsForEdges(o, nd.edges[:0])
+				g.SendControl(o, at, reply)
 			}
 		}
-		var all []cc.Edge
-		node := 0
-		var det cc.Detector // reused across rounds; victims are consumed before the next one
-		if a.MaxTxns > 0 {
-			e := a.maxEdges()
-			for o := range nodes {
-				nodes[o].edges = make([]cc.Edge, 0, e)
-			}
-			all = make([]cc.Edge, 0, n*e)
-			det.Reserve(a.MaxTxns, n*e)
+	}
+	if a.MaxTxns > 0 {
+		e := a.maxEdges()
+		for o := range sn.nodes {
+			sn.nodes[o].edges = make([]cc.Edge, 0, e)
 		}
-		for {
-			p.Delay(a.DetectionIntervalMs)
-			snoopAt := node
-			expect := 0
-			for o := 0; o < n; o++ {
-				if o == snoopAt {
-					continue
-				}
-				expect++
-				g.SendControl(snoopAt, o, requests[snoopAt][o])
+		sn.all = make([]cc.Edge, 0, n*e)
+		sn.det.Reserve(a.MaxTxns, n*e)
+	}
+	sn.k.Init(g.Sim(), sn.step)
+	sn.k.Resume()
+}
+
+// step runs the Snoop from its last waiting point: the detection
+// interval, or the reply collection of a round.
+func (sn *snoop) step() {
+	if !sn.round {
+		sn.round = true
+		sn.k.Delay(sn.a.DetectionIntervalMs)
+		return
+	}
+	if sn.expect == 0 {
+		// The interval has passed: poll every other node and start from
+		// this node's own edges.
+		for o := range sn.nodes {
+			if o == sn.node {
+				continue
 			}
-			self := &nodes[snoopAt]
-			all = self.mgr.lt.AppendWaitsForEdges(snoopAt, all[:0])
-			for i := 0; i < expect; i++ {
-				all = append(all, *mail.Recv(p).(*[]cc.Edge)...)
-			}
-			for _, v := range det.FindVictims(all) {
-				v.RequestAbort(snoopAt, "global deadlock", cc.CauseGlobalDeadlock)
-			}
-			node = (node + 1) % n
+			sn.expect++
+			sn.g.SendControl(sn.node, o, sn.requests[sn.node][o])
 		}
-	})
+		sn.all = sn.nodes[sn.node].mgr.lt.AppendWaitsForEdges(sn.node, sn.all[:0])
+	}
+	for sn.got < sn.expect {
+		msg, ok := sn.mail.Recv(&sn.k)
+		if !ok {
+			return
+		}
+		sn.all = append(sn.all, *msg.(*[]cc.Edge)...)
+		sn.got++
+	}
+	for _, v := range sn.det.FindVictims(sn.all) {
+		v.RequestAbort(sn.node, "global deadlock", cc.CauseGlobalDeadlock)
+	}
+	sn.node = (sn.node + 1) % len(sn.nodes)
+	sn.expect, sn.got = 0, 0
+	sn.k.Delay(sn.a.DetectionIntervalMs)
 }

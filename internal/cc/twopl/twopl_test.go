@@ -4,8 +4,10 @@ import (
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func pg(n int) db.PageID { return db.PageID{File: 0, Page: n} }
@@ -29,12 +31,12 @@ func TestReadersShare(t *testing.T) {
 	granted := 0
 	for i := 0; i < 3; i++ {
 		co := &cc.CohortMeta{Txn: newTxn(int64(i + 1)), Node: 0}
-		s.Spawn("r", func(p *sim.Proc) {
-			co.Proc = p
-			if m.Access(co, pg(1), false) == cc.Granted {
+		var out cc.Outcome
+		simtest.Go(s, cctest.Access(m, co, pg(1), false, &out), simtest.Do(func() {
+			if out == cc.Granted {
 				granted++
 			}
-		})
+		}))
 	}
 	s.Run(100)
 	if granted != 3 {
@@ -48,20 +50,22 @@ func TestWriterBlocksUntilCommit(t *testing.T) {
 	holder := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	waiter := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	var grantedAt sim.Time
-	s.Spawn("holder", func(p *sim.Proc) {
-		holder.Proc = p
-		m.Access(holder, pg(1), true)
-		p.Delay(50)
-		holder.Txn.State = cc.Committing
-		m.Commit(holder)
-	})
-	s.Spawn("waiter", func(p *sim.Proc) {
-		waiter.Proc = p
-		p.Delay(1)
-		if m.Access(waiter, pg(1), true) == cc.Granted {
-			grantedAt = s.Now()
-		}
-	})
+	simtest.Go(s,
+		cctest.Access(m, holder, pg(1), true, nil),
+		simtest.Delay(50),
+		simtest.Do(func() {
+			holder.Txn.State = cc.Committing
+			m.Commit(holder)
+		}))
+	var out cc.Outcome
+	simtest.Go(s,
+		simtest.Delay(1),
+		cctest.Access(m, waiter, pg(1), true, &out),
+		simtest.Do(func() {
+			if out == cc.Granted {
+				grantedAt = s.Now()
+			}
+		}))
 	s.Run(1000)
 	if grantedAt != 50 {
 		t.Fatalf("waiter granted at %v, want 50 (commit time)", grantedAt)
@@ -89,24 +93,24 @@ func TestLocalDeadlockVictimIsYoungest(t *testing.T) {
 		}
 	}
 	outcomes := map[int64]cc.Outcome{}
-	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		m.Access(old, pg(1), true)
-		p.Delay(10)
-		outcomes[1] = m.Access(old, pg(2), true) // blocks on young -> deadlock
-		if outcomes[1] == cc.Granted {
-			old.Txn.State = cc.Committing
-			m.Commit(old)
-		}
-	})
-	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		p.Delay(1)
-		m.Access(young, pg(2), true)
-		p.Delay(10)
-		outcomes[2] = m.Access(young, pg(1), true) // completes the cycle
-	})
+	var oldOut, youngOut cc.Outcome
+	simtest.Go(s,
+		cctest.Access(m, old, pg(1), true, nil),
+		simtest.Delay(10),
+		cctest.Access(m, old, pg(2), true, &oldOut), // blocks on young -> deadlock
+		simtest.Do(func() {
+			if oldOut == cc.Granted {
+				old.Txn.State = cc.Committing
+				m.Commit(old)
+			}
+		}))
+	simtest.Go(s,
+		simtest.Delay(1),
+		cctest.Access(m, young, pg(2), true, nil),
+		simtest.Delay(10),
+		cctest.Access(m, young, pg(1), true, &youngOut)) // completes the cycle
 	s.Run(1000)
+	outcomes[1], outcomes[2] = oldOut, youngOut
 	if abortedTxn != 2 {
 		t.Fatalf("victim txn %d, want 2 (youngest)", abortedTxn)
 	}
@@ -127,10 +131,7 @@ func TestAccessAfterAbortRequestedRejected(t *testing.T) {
 	co := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	co.Txn.AbortRequested = true
 	var out cc.Outcome
-	s.Spawn("p", func(p *sim.Proc) {
-		co.Proc = p
-		out = m.Access(co, pg(1), false)
-	})
+	simtest.Go(s, cctest.Access(m, co, pg(1), false, &out))
 	s.Run(10)
 	if out != cc.Aborted {
 		t.Fatal("access by aborting transaction was granted")
@@ -144,20 +145,12 @@ func TestAbortIdempotentAndReleases(t *testing.T) {
 	co := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	other := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	var otherOut cc.Outcome
-	s.Spawn("holder", func(p *sim.Proc) {
-		co.Proc = p
-		mi.Access(co, pg(1), true)
-	})
-	s.Spawn("waiter", func(p *sim.Proc) {
-		other.Proc = p
-		p.Delay(1)
-		otherOut = mi.Access(other, pg(1), true)
-	})
-	s.Spawn("aborter", func(p *sim.Proc) {
-		p.Delay(10)
+	simtest.Go(s, cctest.Access(mi, co, pg(1), true, nil))
+	simtest.Go(s, simtest.Delay(1), cctest.Access(mi, other, pg(1), true, &otherOut))
+	simtest.Go(s, simtest.Delay(10), simtest.Do(func() {
 		mi.Abort(co)
 		mi.Abort(co) // idempotent
-	})
+	}))
 	s.Run(1000)
 	if otherOut != cc.Granted {
 		t.Fatalf("waiter outcome %v after holder abort, want granted", otherOut)
@@ -227,26 +220,24 @@ func TestSnoopResolvesGlobalDeadlock(t *testing.T) {
 		}
 	}
 	outcome := map[int64]cc.Outcome{}
-	s.Spawn("t1", func(p *sim.Proc) {
-		t1c0.Proc = p
-		t1c1.Proc = p
-		m0.Access(t1c0, pg(0), true)
-		p.Delay(5)
-		outcome[1] = m1.Access(t1c1, pg(0), true)
-		if outcome[1] == cc.Granted {
-			t1.State = cc.Committing
-			m0.Commit(t1c0)
-			m1.Commit(t1c1)
-		}
-	})
-	s.Spawn("t2", func(p *sim.Proc) {
-		t2c1.Proc = p
-		t2c0.Proc = p
-		m1.Access(t2c1, pg(0), true)
-		p.Delay(5)
-		outcome[2] = m0.Access(t2c0, pg(0), true)
-	})
+	var o1, o2 cc.Outcome
+	simtest.Go(s,
+		cctest.Access(m0, t1c0, pg(0), true, nil),
+		simtest.Delay(5),
+		cctest.Access(m1, t1c1, pg(0), true, &o1),
+		simtest.Do(func() {
+			if o1 == cc.Granted {
+				t1.State = cc.Committing
+				m0.Commit(t1c0)
+				m1.Commit(t1c1)
+			}
+		}))
+	simtest.Go(s,
+		cctest.Access(m1, t2c1, pg(0), true, nil),
+		simtest.Delay(5),
+		cctest.Access(m0, t2c0, pg(0), true, &o2))
 	s.Run(5000)
+	outcome[1], outcome[2] = o1, o2
 	if victim != 2 {
 		t.Fatalf("snoop victim %d, want 2 (youngest)", victim)
 	}
@@ -274,19 +265,11 @@ func TestWaitsForEdgesExported(t *testing.T) {
 	m := New(1000).NewManager(cc.Env{Sim: s, Node: 3}).(*manager)
 	a := &cc.CohortMeta{Txn: newTxn(1), Node: 3}
 	b := &cc.CohortMeta{Txn: newTxn(2), Node: 3}
-	s.Spawn("a", func(p *sim.Proc) {
-		a.Proc = p
-		m.Access(a, pg(1), true)
-	})
-	s.Spawn("b", func(p *sim.Proc) {
-		b.Proc = p
-		p.Delay(1)
-		m.Access(b, pg(1), true)
-	})
+	simtest.Go(s, cctest.Access(m, a, pg(1), true, nil))
+	simtest.Go(s, simtest.Delay(1), cctest.Access(m, b, pg(1), true, nil))
 	s.Run(10)
 	edges := m.WaitsForEdges()
 	if len(edges) != 1 || edges[0].Waiter.ID != 2 || edges[0].Blocker.ID != 1 || edges[0].Node != 3 {
 		t.Fatalf("edges %+v", edges)
 	}
-	s.Shutdown()
 }

@@ -1,11 +1,14 @@
 package ww
 
 import (
+	"math/rand"
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/cc/cctest"
 	"ddbm/internal/db"
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func pg(n int) db.PageID { return db.PageID{File: 0, Page: n} }
@@ -40,16 +43,11 @@ func TestOlderWoundsYounger(t *testing.T) {
 	}
 	var oldOut cc.Outcome
 	var oldGrantedAt sim.Time
-	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		mi.Access(young, pg(1), true)
-	})
-	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		p.Delay(10)
-		oldOut = mi.Access(old, pg(1), true) // older: wounds the holder, waits
-		oldGrantedAt = s.Now()
-	})
+	simtest.Go(s, cctest.Access(mi, young, pg(1), true, nil))
+	simtest.Go(s,
+		simtest.Delay(10),
+		cctest.Access(mi, old, pg(1), true, &oldOut), // older: wounds the holder, waits
+		simtest.Do(func() { oldGrantedAt = s.Now() }))
 	s.Run(1000)
 	if !wounded {
 		t.Fatal("younger holder not wounded")
@@ -74,19 +72,17 @@ func TestYoungerWaitsForOlder(t *testing.T) {
 	old.Txn.OnAbort = func(int, string) { aborted = true }
 	var youngOut cc.Outcome
 	var youngAt sim.Time
-	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		mi.Access(old, pg(1), true)
-		p.Delay(30)
-		old.Txn.State = cc.Committing
-		mi.Commit(old)
-	})
-	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		p.Delay(5)
-		youngOut = mi.Access(young, pg(1), true)
-		youngAt = s.Now()
-	})
+	simtest.Go(s,
+		cctest.Access(mi, old, pg(1), true, nil),
+		simtest.Delay(30),
+		simtest.Do(func() {
+			old.Txn.State = cc.Committing
+			mi.Commit(old)
+		}))
+	simtest.Go(s,
+		simtest.Delay(5),
+		cctest.Access(mi, young, pg(1), true, &youngOut),
+		simtest.Do(func() { youngAt = s.Now() }))
 	s.Run(1000)
 	if aborted {
 		t.Fatal("older holder was wounded by a younger requester")
@@ -108,20 +104,20 @@ func TestWoundIgnoredInSecondPhase(t *testing.T) {
 		t.Error("wound delivered to committing transaction")
 	}
 	var oldAt sim.Time
-	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		mi.Access(young, pg(1), true)
-		young.Txn.State = cc.Committing // commit decision made
-		p.Delay(40)
-		mi.Commit(young)
-	})
-	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		p.Delay(10)
-		if mi.Access(old, pg(1), true) == cc.Granted {
-			oldAt = s.Now()
-		}
-	})
+	simtest.Go(s,
+		cctest.Access(mi, young, pg(1), true, nil),
+		simtest.Do(func() { young.Txn.State = cc.Committing }), // commit decision made
+		simtest.Delay(40),
+		simtest.Do(func() { mi.Commit(young) }))
+	var oldOut cc.Outcome
+	simtest.Go(s,
+		simtest.Delay(10),
+		cctest.Access(mi, old, pg(1), true, &oldOut),
+		simtest.Do(func() {
+			if oldOut == cc.Granted {
+				oldAt = s.Now()
+			}
+		}))
 	s.Run(1000)
 	if oldAt != 40 {
 		t.Fatalf("old granted at %v, want 40 (waited for the committing younger txn)", oldAt)
@@ -138,12 +134,12 @@ func TestSharedReadsNoWounds(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		co := &cc.CohortMeta{Txn: newTxn(int64(i + 1)), Node: 0}
 		co.Txn.OnAbort = func(int, string) { t.Error("read sharing caused a wound") }
-		s.Spawn("r", func(p *sim.Proc) {
-			co.Proc = p
-			if mi.Access(co, pg(1), false) == cc.Granted {
+		var out cc.Outcome
+		simtest.Go(s, cctest.Access(mi, co, pg(1), false, &out), simtest.Do(func() {
+			if out == cc.Granted {
 				n++
 			}
-		})
+		}))
 	}
 	s.Run(100)
 	if n != 4 {
@@ -160,17 +156,11 @@ func TestUpgradeWoundsYoungerReader(t *testing.T) {
 	young := &cc.CohortMeta{Txn: newTxn(9), Node: 0}
 	young.Txn.OnAbort = func(int, string) { mi.Abort(young) }
 	var upOut cc.Outcome
-	s.Spawn("old", func(p *sim.Proc) {
-		old.Proc = p
-		mi.Access(old, pg(1), false)
-		p.Delay(10)
-		upOut = mi.Access(old, pg(1), true)
-	})
-	s.Spawn("young", func(p *sim.Proc) {
-		young.Proc = p
-		p.Delay(1)
-		mi.Access(young, pg(1), false)
-	})
+	simtest.Go(s,
+		cctest.Access(mi, old, pg(1), false, nil),
+		simtest.Delay(10),
+		cctest.Access(mi, old, pg(1), true, &upOut))
+	simtest.Go(s, simtest.Delay(1), cctest.Access(mi, young, pg(1), false, nil))
 	s.Run(1000)
 	if upOut != cc.Granted {
 		t.Fatalf("upgrade outcome %v, want granted after wound", upOut)
@@ -194,26 +184,10 @@ func TestNoDeadlockEverProperty(t *testing.T) {
 		co.Txn.OnAbort = func(int, string) {
 			s.After(float64(r.Intn(3)), func() { mi.Abort(co) })
 		}
-		s.Spawn("w", func(p *sim.Proc) {
-			co.Proc = p
-			for j := 0; j < 6; j++ {
-				if co.Txn.AbortRequested {
-					return
-				}
-				page := pg(r.Intn(3))
-				write := r.Intn(2) == 0
-				if mi.Access(co, page, write) == cc.Aborted {
-					return
-				}
-				if cc.HasCycle(m.WaitsForEdges()) {
-					t.Error("wound-wait produced a waits-for cycle")
-					return
-				}
-				p.Delay(float64(r.Intn(5)))
-			}
-			co.Txn.State = cc.Committing
-			mi.Commit(co)
-		})
+		w := &randomWorker{t: t, m: m, co: co, r: r}
+		co.K = &w.k
+		w.k.Init(s, w.step)
+		w.k.Resume()
 	}
 	s.Run(100000)
 	if !m.LockTable().Empty() {
@@ -221,4 +195,49 @@ func TestNoDeadlockEverProperty(t *testing.T) {
 		// check only fires if the run finished naturally above.
 		t.Log("note: table not empty at cutoff (in-flight cohorts)")
 	}
+}
+
+// randomWorker is one transaction of the acyclicity property test: up to
+// six random accesses with random pauses, checking the waits-for graph
+// after each, stopping when aborted, then committing.
+type randomWorker struct {
+	k       sim.Cont
+	t       *testing.T
+	m       *manager
+	co      *cc.CohortMeta
+	r       *rand.Rand
+	j       int
+	waiting bool
+}
+
+func (w *randomWorker) step() {
+	var out cc.Outcome
+	if w.waiting {
+		w.waiting = false
+		out = w.co.Unblocked()
+	} else {
+		if w.j == 6 {
+			w.co.Txn.State = cc.Committing
+			w.m.Commit(w.co)
+			return
+		}
+		if w.co.Txn.AbortRequested {
+			return
+		}
+		page := pg(w.r.Intn(3))
+		write := w.r.Intn(2) == 0
+		if out = w.m.Access(w.co, page, write); out == cc.Blocked {
+			w.waiting = true
+			return
+		}
+	}
+	if out == cc.Aborted {
+		return
+	}
+	if cc.HasCycle(w.m.WaitsForEdges()) {
+		w.t.Error("wound-wait produced a waits-for cycle")
+		return
+	}
+	w.j++
+	w.k.Delay(float64(w.r.Intn(5)))
 }

@@ -171,6 +171,11 @@ type Txn struct {
 	env          Env
 	tp           *twoPC
 	shortCircuit bool
+
+	// The coordinator's place in a Commit or Abort run that is waiting
+	// (stepIdle between runs), and the votes or acks still outstanding.
+	step    uint8
+	pending int
 }
 
 // Reset prepares a (possibly recycled) Txn for a new attempt: fresh
@@ -186,6 +191,7 @@ func (t *Txn) Reset(meta *cc.TxnMeta, mail *sim.Mailbox) {
 	}
 	t.Cohorts = t.Cohorts[:0]
 	t.env, t.tp, t.shortCircuit = nil, nil, false
+	t.step, t.pending = stepIdle, 0
 }
 
 // Attach adds a cohort to the attempt, assigning its index and resetting
@@ -237,9 +243,10 @@ type Env interface {
 	// Logging reports whether log forces are modeled (Config.ModelLogging).
 	Logging() bool
 	// ForceLog synchronously forces a log record at the coordinator's
-	// node, blocking the calling process. abortPath attributes the force
-	// to abort handling for the metrics.
-	ForceLog(p *sim.Proc, abortPath bool)
+	// node: the coordinator waits, and k resumes it once the record is on
+	// disk. abortPath attributes the force to abort handling for the
+	// metrics.
+	ForceLog(k *sim.Cont, abortPath bool)
 	// ForceLogAsync forces a log record at a cohort node's disk and then
 	// runs done.
 	ForceLogAsync(node int, abortPath bool, done func())
@@ -267,23 +274,41 @@ type Env interface {
 	Down(node int) bool
 }
 
+// Status is where a coordinator-side protocol run stands when Commit or
+// Abort returns.
+type Status uint8
+
+const (
+	// Waiting: the coordinator waits for a log force or for mail; k has
+	// been scheduled or registered to resume it, and the coordinator then
+	// calls the same method again, which continues where the run stopped.
+	Waiting Status = iota
+	// Committed: Commit reached the commit decision and sent phase two.
+	Committed
+	// Aborted: Commit found that the attempt must abort (the transaction
+	// manager then runs Abort, which is always safe after it), or Abort
+	// finished and the coordinator may forget the attempt.
+	Aborted
+)
+
 // Protocol is one two-phase commit variant: the coordinator-side state
 // machine driving prepare → decide → resolve and the cohort-side rules for
-// voting, logging and acknowledging.
+// voting, logging and acknowledging. The coordinator is a process whose
+// continuation is k; a run that must wait returns Waiting and is resumed
+// by calling the method again once k fires.
 type Protocol interface {
 	// Kind identifies the variant.
 	Kind() Kind
 	// Commit runs the protocol from the end of a successful work phase:
 	// prepare fan-out, vote collection, decision logging, and the phase-two
-	// fan-out. It returns false if the attempt must abort instead — the
-	// transaction manager then runs Abort, which is always safe after a
-	// failed Commit.
-	Commit(p *sim.Proc, env Env, t *Txn) bool
+	// fan-out. It returns Committed, or Aborted if the attempt must abort
+	// instead.
+	Commit(k *sim.Cont, env Env, t *Txn) Status
 	// Abort resolves the attempt as aborted across the first loaded
-	// cohorts. It returns when the coordinator may forget the attempt —
-	// after all abort acknowledgements for the acknowledged variants,
-	// immediately after the fan-out for presumed abort.
-	Abort(p *sim.Proc, env Env, t *Txn, loaded int)
+	// cohorts. It returns Aborted when the coordinator may forget the
+	// attempt — after all abort acknowledgements for the acknowledged
+	// variants, immediately after the fan-out for presumed abort.
+	Abort(k *sim.Cont, env Env, t *Txn, loaded int) Status
 }
 
 // New returns the protocol implementing a variant.

@@ -76,9 +76,9 @@ func (e *testEnv) Release()                    { e.refs-- }
 func (e *testEnv) Manager(node int) cc.Manager { return e.mgrs[node] }
 func (e *testEnv) NextTS() int64               { e.ts++; return e.ts }
 func (e *testEnv) Logging() bool               { return e.logging }
-func (e *testEnv) ForceLog(p *sim.Proc, abortPath bool) {
+func (e *testEnv) ForceLog(k *sim.Cont, abortPath bool) {
 	e.countForce(abortPath)
-	p.Delay(1)
+	k.Delay(1)
 }
 func (e *testEnv) ForceLogAsync(node int, abortPath bool, done func()) {
 	e.countForce(abortPath)
@@ -105,7 +105,7 @@ func (e *testEnv) Down(node int) bool                       { return false }
 func (e *testEnv) newTxn(readOnly ...bool) *Txn {
 	meta := &cc.TxnMeta{ID: 1, TS: 1, AttemptTS: 1}
 	t := &Txn{}
-	t.Reset(meta, e.s.NewMailbox())
+	t.Reset(meta, new(sim.Mailbox))
 	for i := range e.mgrs {
 		c := &Cohort{Meta: &cc.CohortMeta{Txn: meta, Node: i}}
 		t.Attach(c)
@@ -114,44 +114,84 @@ func (e *testEnv) newTxn(readOnly ...bool) *Txn {
 	return t
 }
 
-// runCommit drives Protocol.Commit (and, on failure, Abort — mirroring the
-// transaction manager) inside a simulated coordinator process.
-func runCommit(t *testing.T, k Kind, env *testEnv, txn *Txn) bool {
+// coordinator is a simulated coordinator process driving a protocol the
+// way the transaction manager does: Commit (unless abortOnly) and, when
+// that fails, Abort across the first loaded cohorts, each called again
+// whenever it returned Waiting and the process resumes.
+type coordinator struct {
+	k         sim.Cont
+	t         *testing.T
+	proto     Protocol
+	env       *testEnv
+	txn       *Txn
+	loaded    int
+	aborting  bool
+	committed bool
+	done      bool
+}
+
+func startCoordinator(t *testing.T, k Kind, env *testEnv, txn *Txn, abortOnly bool, loaded int) *coordinator {
 	t.Helper()
 	proto, err := New(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	committed := false
-	env.s.Spawn("coordinator", func(p *sim.Proc) {
-		committed = proto.Commit(p, env, txn)
-		if !committed {
-			txn.Meta.AbortRequested = true
-			proto.Abort(p, env, txn, len(txn.Cohorts))
-		}
-	})
-	env.s.Run(1000)
-	if env.refs != 0 {
-		t.Errorf("attempt references leaked: Retain/Release balance = %d after the run drained", env.refs)
+	c := &coordinator{t: t, proto: proto, env: env, txn: txn, loaded: loaded}
+	if abortOnly {
+		c.abort()
 	}
-	return committed
+	c.k.Init(env.s, c.step)
+	c.k.Resume()
+	return c
+}
+
+func (c *coordinator) step() {
+	if !c.aborting {
+		switch c.proto.Commit(&c.k, c.env, c.txn) {
+		case Waiting:
+			return
+		case Committed:
+			c.committed, c.done = true, true
+			return
+		}
+		c.abort()
+	}
+	if c.proto.Abort(&c.k, c.env, c.txn, c.loaded) == Aborted {
+		c.done = true
+	}
+}
+
+func (c *coordinator) abort() {
+	c.txn.Meta.AbortRequested = true
+	c.aborting = true
+}
+
+// finish runs the simulation to the end and checks the coordinator ran to
+// completion and every attempt reference drained.
+func (c *coordinator) finish() {
+	c.t.Helper()
+	c.env.s.Run(1000)
+	if !c.done {
+		c.t.Error("coordinator still waiting after the run drained")
+	}
+	if c.env.refs != 0 {
+		c.t.Errorf("attempt references leaked: Retain/Release balance = %d after the run drained", c.env.refs)
+	}
+}
+
+// runCommit drives Protocol.Commit (and, on failure, Abort — mirroring the
+// transaction manager) inside a simulated coordinator process.
+func runCommit(t *testing.T, k Kind, env *testEnv, txn *Txn) bool {
+	t.Helper()
+	c := startCoordinator(t, k, env, txn, false, len(txn.Cohorts))
+	c.finish()
+	return c.committed
 }
 
 // runAbort drives only the abort path for a fully loaded transaction.
 func runAbort(t *testing.T, k Kind, env *testEnv, txn *Txn) {
 	t.Helper()
-	proto, err := New(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.s.Spawn("coordinator", func(p *sim.Proc) {
-		txn.Meta.AbortRequested = true
-		proto.Abort(p, env, txn, len(txn.Cohorts))
-	})
-	env.s.Run(1000)
-	if env.refs != 0 {
-		t.Errorf("attempt references leaked: Retain/Release balance = %d after the run drained", env.refs)
-	}
+	startCoordinator(t, k, env, txn, true, len(txn.Cohorts)).finish()
 }
 
 func TestKindStrings(t *testing.T) {
@@ -426,15 +466,7 @@ func TestAbortPathCosts(t *testing.T) {
 func TestPartialLoadAbort(t *testing.T) {
 	env := newTestEnv(3, false)
 	txn := env.newTxn()
-	proto, err := New(CentralizedTwoPC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	env.s.Spawn("coordinator", func(p *sim.Proc) {
-		txn.Meta.AbortRequested = true
-		proto.Abort(p, env, txn, 2)
-	})
-	env.s.Run(1000)
+	startCoordinator(t, CentralizedTwoPC, env, txn, true, 2).finish()
 	if env.mgrs[0].aborts != 1 || env.mgrs[1].aborts != 1 || env.mgrs[2].aborts != 0 {
 		t.Errorf("abort fan-out hit the wrong cohorts: %d/%d/%d",
 			env.mgrs[0].aborts, env.mgrs[1].aborts, env.mgrs[2].aborts)

@@ -36,62 +36,99 @@ type twoPC struct {
 
 func (tp *twoPC) Kind() Kind { return tp.kind }
 
+// Coordinator-side run steps (Txn.step). A run starts at stepIdle, and
+// every step after it follows the one place where the coordinator waits:
+// a log force or the mail it collects.
+const (
+	stepIdle           uint8 = iota
+	stepInitForced           // Commit: presumed commit's collecting record is on disk
+	stepVotes                // Commit: collecting votes
+	stepDecisionForced       // Commit: the commit record is on disk
+	stepAcks                 // Abort: collecting abort acknowledgements
+)
+
 // Commit drives the coordinator through prepare → decide → resolve. Any
 // failed vote, abort signal, or abort raced in behind a log force returns
-// false with the attempt still unresolved; the caller runs Abort.
+// Aborted with the attempt still unresolved; the caller runs Abort.
 //
 //ddbmlint:hotpath coordinator commit path pinned by TestTxnPathAllocFree
-func (tp *twoPC) Commit(p *sim.Proc, env Env, t *Txn) bool {
+func (tp *twoPC) Commit(k *sim.Cont, env Env, t *Txn) Status {
 	meta := t.Meta
-	t.env, t.tp = env, tp
-
-	// Phase one: the commit timestamp travels to every cohort in the
-	// "prepare to commit" message (OPT certifies against it).
-	meta.State = cc.Preparing
-	meta.CommitTS = env.NextTS() //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
-
-	if tp.initForce && env.Logging() { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-		// Presumed commit: force the collecting record before any cohort
-		// can prepare, or a coordinator crash would presume-commit a
-		// transaction that never decided.
-		env.ForceLog(p, false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-		if meta.AbortRequested {
-			return false
+	switch t.step {
+	case stepIdle:
+		t.env, t.tp = env, tp
+		// Phase one: the commit timestamp travels to every cohort in the
+		// "prepare to commit" message (OPT certifies against it).
+		meta.State = cc.Preparing
+		meta.CommitTS = env.NextTS()       //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
+		if tp.initForce && env.Logging() { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+			// Presumed commit: force the collecting record before any
+			// cohort can prepare, or a coordinator crash would
+			// presume-commit a transaction that never decided.
+			env.ForceLog(k, false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+			t.step = stepInitForced
+			return Waiting
 		}
+		tp.sendPrepares(env, t)
+	case stepInitForced:
+		if meta.AbortRequested {
+			return t.finish(Aborted)
+		}
+		tp.sendPrepares(env, t)
+	case stepDecisionForced:
+		if meta.AbortRequested {
+			// An abort raced in while the force was on disk.
+			return t.finish(Aborted)
+		}
+		return tp.decide(env, t)
 	}
-
-	tp.sendPrepares(env, t)
-	if !tp.collectVotes(p, t) {
-		return false
+	// stepVotes: collect the votes.
+	over, yes := tp.collectVotes(k, t)
+	if !over {
+		return Waiting
+	}
+	if !yes {
+		return t.finish(Aborted)
 	}
 	if meta.AbortRequested {
 		// A wound or deadlock abort raced in behind the last vote: the
 		// coordinator learns of it before deciding, so the abort wins.
-		return false
+		return t.finish(Aborted)
 	}
 	env.Prepared() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 
 	if env.Logging() && tp.decisionForce(t) { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 		// Force the commit record at the coordinator's node before the
 		// decision becomes durable (and before the response completes).
-		env.ForceLog(p, false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-		if meta.AbortRequested {
-			// An abort raced in while the force was on disk.
-			return false
-		}
+		env.ForceLog(k, false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		t.step = stepDecisionForced
+		return Waiting
 	}
+	return tp.decide(env, t)
+}
 
-	// Commit decision: from here the transaction can no longer abort and
-	// the response is complete. Phase two runs asynchronously: COMMIT
-	// messages release locks and install updates at each node, and cohorts
-	// acknowledge (CPU load only) where the variant requires it.
+// decide makes the commit decision: from here the transaction can no
+// longer abort and the response is complete. Phase two runs
+// asynchronously: COMMIT messages release locks and install updates at
+// each node, and cohorts acknowledge (CPU load only) where the variant
+// requires it.
+//
+//ddbmlint:hotpath commit decision pinned by TestTxnPathAllocFree
+func (tp *twoPC) decide(env Env, t *Txn) Status {
+	meta := t.Meta
 	meta.State = cc.Committing
 	meta.DecisionTS = env.NextTS() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 	env.Decided(true)              //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 	env.RecordCommit()             //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 
 	fanOut(env, t.Cohorts, tagCommit)
-	return true
+	return t.finish(Committed)
+}
+
+// finish ends a coordinator run, leaving the Txn ready for the next one.
+func (t *Txn) finish(st Status) Status {
+	t.step = stepIdle
+	return st
 }
 
 // sendPrepares runs the prepare fan-out: each cohort votes after its local
@@ -111,6 +148,7 @@ func (tp *twoPC) Commit(p *sim.Proc, env Env, t *Txn) bool {
 //
 //ddbmlint:hotpath prepare fan-out pinned by TestTxnPathAllocFree
 func (tp *twoPC) sendPrepares(env Env, t *Txn) {
+	t.step, t.pending = stepVotes, len(t.Cohorts)
 	t.shortCircuit = tp.shortCircuitRO
 	if t.shortCircuit {
 		for _, c := range t.Cohorts {
@@ -290,24 +328,30 @@ func (c *Cohort) sendAck() {
 	env.Send(c.Meta.Node, env.Host(), c, tagAck) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
 }
 
-// collectVotes consumes coordinator mail until every cohort has voted yes,
-// returning false on the first no vote or abort signal. Stale messages from
-// the attempt's work phase are ignored.
+// collectVotes consumes coordinator mail until every cohort has voted yes.
+// It reports whether the collection is over — the mailbox may run dry
+// first, and k then waits on it — and whether every vote was yes: the
+// first no vote or abort signal ends it with no. Stale messages from the
+// attempt's work phase are ignored.
 //
 //ddbmlint:hotpath vote collection pinned by TestTxnPathAllocFree
-func (tp *twoPC) collectVotes(p *sim.Proc, t *Txn) bool {
-	for votes := 0; votes < len(t.Cohorts); {
-		switch v := t.Mail.Recv(p).(type) {
+func (tp *twoPC) collectVotes(k *sim.Cont, t *Txn) (over, yes bool) {
+	for t.pending > 0 {
+		msg, ok := t.Mail.Recv(k)
+		if !ok {
+			return false, false
+		}
+		switch v := msg.(type) {
 		case *Vote:
 			if !v.Yes {
-				return false
+				return true, false
 			}
-			votes++
+			t.pending--
 		case AbortSignal:
-			return false
+			return true, false
 		}
 	}
-	return true
+	return true, true
 }
 
 // decisionForce reports whether the commit decision needs a forced log
@@ -341,25 +385,32 @@ func (tp *twoPC) decisionForce(t *Txn) bool {
 // with the attempt's mailbox reset.
 //
 //ddbmlint:hotpath coordinator abort path on the transaction path
-func (tp *twoPC) Abort(p *sim.Proc, env Env, t *Txn, loaded int) {
-	t.env, t.tp = env, tp
-	env.Decided(false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-	fanOut(env, t.Cohorts[:loaded], tagAbort)
-	if tp.ackAborts {
-		pending := 0
-		for _, c := range t.Cohorts[:loaded] {
-			if c.abortSent && !c.acked {
-				pending++
-			}
-		}
-		for pending > 0 {
-			if a, ok := t.Mail.Recv(p).(*Ack); ok {
-				if c := t.Cohorts[a.Idx]; !c.acked {
-					c.acked = true
-					pending--
+func (tp *twoPC) Abort(k *sim.Cont, env Env, t *Txn, loaded int) Status {
+	if t.step != stepAcks {
+		t.env, t.tp = env, tp
+		env.Decided(false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		fanOut(env, t.Cohorts[:loaded], tagAbort)
+		t.step, t.pending = stepAcks, 0
+		if tp.ackAborts {
+			for _, c := range t.Cohorts[:loaded] {
+				if c.abortSent && !c.acked {
+					t.pending++
 				}
 			}
 		}
 	}
+	for t.pending > 0 {
+		msg, ok := t.Mail.Recv(k)
+		if !ok {
+			return Waiting
+		}
+		if a, ok := msg.(*Ack); ok {
+			if c := t.Cohorts[a.Idx]; !c.acked {
+				c.acked = true
+				t.pending--
+			}
+		}
+	}
 	t.Meta.State = cc.Finished
+	return t.finish(Aborted)
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"ddbm/internal/cc"
 	"ddbm/internal/fault"
 	"ddbm/internal/obs"
@@ -23,7 +21,7 @@ import (
 //     dead (releasing coordinators stuck waiting for abort acks via
 //     synthetic acks), and the node's cohort registry is swept: in-doubt
 //     cohorts become residents — their locks survive, their attempt state
-//     is pinned — while everything else is killed and its locks released.
+//     is pinned — while everything else is stopped and its locks released.
 //   - Detection (DetectMs later): the coordinator's timeout/termination
 //     protocol aborts every live attempt that touches the dead node.
 //   - Repair (MTTRMs after the crash): the node accepts messages again and
@@ -54,12 +52,12 @@ type faultState struct {
 	// liveAttempts registers every attempt between acquire and recycle,
 	// for the detection sweep and crash-instant dead-marking.
 	liveAttempts []*attemptState
-	// hostWaiters parks terminal processes while the host is mid-failover.
-	hostWaiters []*sim.Proc
+	// hostWaiters holds the terminals waiting out a host failover.
+	hostWaiters []*sim.Cont
 
-	detectFns []func()   // pre-bound per-node detection sweeps
-	recNames  []string   // per-node recovery process names
-	downSince []sim.Time // crash instant per node, for the down trace span
+	detectFns []func()       // pre-bound per-node detection sweeps
+	recs      []nodeRecovery // per-node recovery processes
+	downSince []sim.Time     // crash instant per node, for the down trace span
 
 	// Accounting for the Result fields (see metrics.go). In-doubt and
 	// blocked-in-doubt totals are windowed to the measurement interval;
@@ -83,10 +81,13 @@ func newFaultState(m *Machine) *faultState {
 	if f.res == recovery.Inquire {
 		f.reg = recovery.NewDecisionRegistry()
 	}
+	f.recs = make([]nodeRecovery, nodes)
 	for i := 0; i < nodes; i++ {
 		i := i
 		f.detectFns = append(f.detectFns, func() { f.detect(i) })
-		f.recNames = append(f.recNames, fmt.Sprintf("recovery@%d", i))
+		r := &f.recs[i]
+		r.f, r.node = f, i
+		r.k.Init(m.sim, r.step)
 	}
 	f.inj.SetTarget(f)
 	m.net.SetFaultModel(f.inj)
@@ -230,17 +231,6 @@ func (f *faultState) anyPlanNodeDown(a *attemptState) bool {
 	return false
 }
 
-// holdForHost parks a terminal while the coordinator host is mid-failover;
-// RecoverHost releases the queue. The loop re-checks: a terminal released
-// at one recovery could, in principle, find the host down again by the
-// time it runs.
-func (f *faultState) holdForHost(p *sim.Proc) {
-	for f.inj.HostDown() {
-		f.hostWaiters = append(f.hostWaiters, p) //ddbmlint:allow hotpath-alloc waiter-queue growth chases the terminal count; reached only mid-failover
-		p.Suspend()
-	}
-}
-
 // CrashNode implements fault.Target: the crash-stop of one processing
 // node, run at the crash instant with the node already marked down.
 func (f *faultState) CrashNode(n int) {
@@ -275,8 +265,9 @@ func (f *faultState) CrashNode(n int) {
 // told anything), their attempt state is pinned until recovery resolves
 // them, and — under 2PC — any already-made decision is recorded for the
 // restart inquiry. Everything else loses its state: a pending startup job
-// died with the CPU queue, a running process is killed, and in every case
-// the cohort's locks and queued requests are released.
+// died with the CPU queue, a running process is stopped (its pending
+// resumption canceled; whatever it waited on was wiped with the node),
+// and in every case the cohort's locks and queued requests are released.
 func (f *faultState) sweepRun(c *cohortRun) {
 	m := f.m
 	if c.meta.InDoubt {
@@ -297,7 +288,7 @@ func (f *faultState) sweepRun(c *cohortRun) {
 		// starts, so the load reference dies here.
 		c.a.release()
 	case phaseRunning:
-		m.sim.Kill(c.meta.Proc)
+		c.k.Cancel()
 		if m.activeCohorts != nil {
 			m.activeCohorts[c.meta.Node]--
 		}
@@ -354,21 +345,64 @@ func touchesNode(a *attemptState, n int) bool {
 // resident per the protocol's rule, and only then rejoins the machine.
 func (f *faultState) RecoverNode(n int) {
 	m := f.m
-	repairAt := m.sim.Now()
+	r := &f.recs[n]
+	r.repairAt = m.sim.Now()
+	r.replayed = false
 	m.tracer.Complete(obs.KindFault, "down", n, 0, 0, f.downSince[n])
-	m.sim.Spawn(f.recNames[n], func(p *sim.Proc) {
-		p.Delay(recovery.ReplayMs(f.wal.LiveCount(n), m.cfg.MinDiskMs, m.cfg.MinDiskMs))
-		for {
-			c := f.nextResident(n)
-			if c == nil {
-				break
-			}
-			f.resolveResident(p, c)
+	r.k.Resume()
+}
+
+// nodeRecovery is one node's recovery process, a state machine over k:
+// replay the log, then resolve residents one at a time — waiting out
+// cur's 2PC inquiry round-trip when there is one — then rejoin. A node's
+// next crash is scheduled only once it rejoins, so one record per node
+// serves every recovery.
+type nodeRecovery struct {
+	k        sim.Cont
+	f        *faultState
+	node     int
+	repairAt sim.Time
+	replayed bool
+	cur      *cohortRun
+}
+
+// step runs the recovery process from its last waiting point.
+func (r *nodeRecovery) step() {
+	f, m, n := r.f, r.f.m, r.node
+	if !r.replayed {
+		r.replayed = true
+		r.k.Delay(recovery.ReplayMs(f.wal.LiveCount(n), m.cfg.MinDiskMs, m.cfg.MinDiskMs))
+		return
+	}
+	if c := r.cur; c != nil {
+		r.cur = nil
+		f.resolveResident(c, c.inqCommit)
+	}
+	for {
+		c := f.nextResident(n)
+		if c == nil {
+			break
 		}
-		f.recoveryMs += float64(m.sim.Now() - repairAt)
-		m.tracer.Complete(obs.KindFault, "recovery", n, 0, 0, repairAt)
-		f.inj.NodeUp(n)
-	})
+		switch f.res {
+		case recovery.PresumeCommit:
+			f.resolveResident(c, true)
+		case recovery.Inquire:
+			// 2PC pays a full inquiry round-trip to the coordinator
+			// before the cohort can release anything — the
+			// recovery-time blocking penalty the presumed variants avoid
+			// by resolving locally.
+			r.cur = c
+			c.recWait = &r.k
+			c.a.retain()
+			m.net.Send(c.meta.Node, m.hostID, c, tagCohortInquiry)
+			return
+		default:
+			f.resolveResident(c, false)
+		}
+	}
+	f.recoveryMs += float64(m.sim.Now() - r.repairAt)
+	m.tracer.Complete(obs.KindFault, "recovery", n, 0, 0, r.repairAt)
+	f.inj.NodeUp(n)
 }
 
 // nextResident finds the node's next unresolved resident (registration
@@ -383,26 +417,13 @@ func (f *faultState) nextResident(n int) *cohortRun {
 	return nil
 }
 
-// resolveResident applies the protocol's in-doubt resolution rule to one
-// resident: 2PC pays a full inquiry round-trip to the coordinator before
-// the cohort can release anything — the recovery-time blocking penalty the
-// presumed variants avoid by resolving locally. Presumed commit's local
-// rule installs the cohort's updates even when the transaction actually
-// aborted after the crash (the documented PC anomaly: the abort record
-// that would prevent it was never forced at the dead node).
-func (f *faultState) resolveResident(p *sim.Proc, c *cohortRun) {
+// resolveResident applies the outcome the protocol's in-doubt resolution
+// rule reached for one resident. Presumed commit's local rule installs
+// the cohort's updates even when the transaction actually aborted after
+// the crash (the documented PC anomaly: the abort record that would
+// prevent it was never forced at the dead node).
+func (f *faultState) resolveResident(c *cohortRun, committed bool) {
 	m := f.m
-	committed := false
-	switch f.res {
-	case recovery.PresumeCommit:
-		committed = true
-	case recovery.Inquire:
-		c.recWait = p
-		c.a.retain()
-		m.net.Send(c.meta.Node, m.hostID, c, tagCohortInquiry)
-		p.Suspend()
-		committed = c.inqCommit
-	}
 	if committed {
 		m.mgrs[c.meta.Node].Commit(&c.meta)
 		c.a.env.InstallCommit(&c.proto)
@@ -415,7 +436,7 @@ func (f *faultState) resolveResident(p *sim.Proc, c *cohortRun) {
 
 // CrashHost implements fault.Target: coordinator failover. Every live
 // attempt aborts with the coordinator-crash cause (the failover host has
-// no volatile state for them); terminals hold in holdForHost until
+// no volatile state for them); terminals hold new attempts until
 // recovery. No cohort state is lost — the host stays up for messaging.
 func (f *faultState) CrashHost() {
 	m := f.m
@@ -431,7 +452,7 @@ func (f *faultState) CrashHost() {
 func (f *faultState) RecoverHost() {
 	ws := f.hostWaiters
 	f.hostWaiters = f.hostWaiters[:0]
-	for _, p := range ws {
-		p.Resume()
+	for _, k := range ws {
+		k.Resume()
 	}
 }

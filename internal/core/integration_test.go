@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"ddbm/internal/cc"
@@ -306,13 +307,31 @@ func TestActiveTxnsBounded(t *testing.T) {
 	}
 }
 
+// TestNoGoroutineLeaks: Run starts no goroutine — every simulation
+// process is a continuation on the caller's goroutine — so the goroutine
+// count read mid-run, from inside a life-cycle observer, and after the
+// run equals the count before it.
 func TestNoGoroutineLeaks(t *testing.T) {
 	m, err := NewMachine(testConfig(cc.TwoPL))
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := runtime.NumGoroutine()
+	observed, mismatched := 0, 0
+	m.ObserveTxns(func(TxnEvent) {
+		observed++
+		if runtime.NumGoroutine() != before {
+			mismatched++
+		}
+	})
 	m.Run()
-	if n := m.Sim().LiveProcs(); n != 0 {
-		t.Errorf("%d simulation processes leaked after Run", n)
+	if observed == 0 {
+		t.Fatal("the observer never ran")
+	}
+	if mismatched != 0 {
+		t.Errorf("goroutine count differed from %d at %d of %d observations mid-run", before, mismatched, observed)
+	}
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Run, %d before", n, before)
 	}
 }

@@ -41,10 +41,14 @@ type Machine struct {
 
 	// Observability (all nil/zero unless explicitly enabled; the disabled
 	// state is the existing fast path). activeCohorts is allocated — and
-	// maintained by runCohort — only while probing is on.
+	// maintained by the cohort processes — only while probing is on.
+	// probeK is the sampler process; probeArmed marks its first interval
+	// scheduled.
 	tracer        *obs.Tracer
 	probes        *obs.TimeSeries
 	probeEveryMs  float64
+	probeK        sim.Cont
+	probeArmed    bool
 	activeCohorts []int     // per processing node
 	prevCPUBusy   []float64 // sampler window state: last BusyTime() per CPU
 	prevDiskBusy  []float64 // ... per disk array (proc nodes, then host)
@@ -59,14 +63,12 @@ type Machine struct {
 	tsCounter  int64
 	txnCounter int64
 
-	// Transaction-path pools and pre-bound hooks (see txn.go): recycled
-	// attempt states, the untraced OnBlocked method value, the per-node
-	// static cohort process names, and the per-node phase-two write-back
-	// continuations. All bound once at machine construction so the
-	// steady-state transaction path allocates nothing.
+	// Transaction-path processes, pools and pre-bound hooks (see txn.go):
+	// the terminals, recycled attempt states, and the per-node phase-two
+	// write-back continuations. All bound once so the steady-state
+	// transaction path allocates nothing.
+	terms        []terminal
 	attemptFree  []*attemptState
-	blockedFn    func(co *cc.CohortMeta, d sim.Time)
-	cohortNames  []string
 	writeBackFns []func()
 
 	// ft is the fault/recovery state (nil unless cfg.Faults.Enabled; the
@@ -121,12 +123,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if cfg.Audit {
 		m.rec = audit.NewRecorder()
 	}
-	m.blockedFn = m.onBlocked
 	for i := 0; i < cfg.NumProcNodes; i++ {
 		m.cpus = append(m.cpus, resource.NewCPU(s, cfg.ProcMIPS))
 		d := resource.NewDiskArray(s, cfg.NumDisks, cfg.MinDiskMs, cfg.MaxDiskMs)
 		m.disks = append(m.disks, d)
-		m.cohortNames = append(m.cohortNames, fmt.Sprintf("cohort@%d", i))
 		m.writeBackFns = append(m.writeBackFns, func() { d.WriteAsync(nil) })
 	}
 	m.cpus = append(m.cpus, resource.NewCPU(s, cfg.HostMIPS)) // host
@@ -229,10 +229,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// onBlocked is the pre-bound cc.CohortMeta.OnBlocked hook: the stats tally
-// for every blocking episode, plus — when the fault layer is active and
-// the lock table attributed the wait to an in-doubt cohort of a crashed
-// node — the blocked-in-doubt account.
+// onBlocked tallies every blocking episode (see cohortRun.blocked), plus —
+// when the fault layer is active and the lock table attributed the wait
+// to an in-doubt cohort of a crashed node — the blocked-in-doubt account.
 //
 //ddbmlint:hotpath blocking-episode tally on every lock wait
 func (m *Machine) onBlocked(co *cc.CohortMeta, d sim.Time) {
@@ -310,6 +309,16 @@ type ccGauges interface {
 	BlockedCount() int
 }
 
+// probe is the sampler process's step: one snapshot per interval, the
+// first one interval after the process starts.
+func (m *Machine) probe() {
+	if m.probeArmed {
+		m.sample()
+	}
+	m.probeArmed = true
+	m.probeK.Delay(m.probeEveryMs)
+}
+
 // sample takes one probe snapshot. Pure reads only: BusyTime() on the
 // resources is side-effect-free, and the gauges are queue/map lengths.
 func (m *Machine) sample() {
@@ -383,11 +392,10 @@ func (g globalEnv) SendControl(from, to int, deliver func()) { g.m.net.SendFunc(
 // that drive the simulator manually.
 func (m *Machine) Start() {
 	m.algo.StartGlobal(globalEnv{m})
-	for t := 0; t < m.cfg.NumTerminals; t++ {
-		t := t
-		m.sim.Spawn(fmt.Sprintf("terminal-%d", t), func(p *sim.Proc) {
-			m.terminal(p, t)
-		})
+	m.terms = make([]terminal, m.cfg.NumTerminals)
+	for i := range m.terms {
+		m.newTerminal(&m.terms[i], i)
+		m.terms[i].k.Resume()
 	}
 	m.sim.Schedule(m.cfg.WarmupMs, func() {
 		m.stats.startMeasuring(m.sim.Now())
@@ -399,12 +407,8 @@ func (m *Machine) Start() {
 		}
 	})
 	if m.probes != nil {
-		m.sim.Spawn("probe-sampler", func(p *sim.Proc) {
-			for {
-				p.Delay(m.probeEveryMs)
-				m.sample()
-			}
-		})
+		m.probeK.Init(m.sim, m.probe)
+		m.probeK.Resume()
 	}
 	if m.ft != nil {
 		m.ft.inj.Start()

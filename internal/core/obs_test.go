@@ -197,6 +197,41 @@ func TestGoldenChromeTrace(t *testing.T) {
 	}
 }
 
+// TestTraceAttemptsOnOwnTracks: an aborted attempt's cohort can still be
+// finishing its in-flight access at a node when the restarted attempt's
+// cohort starts there. The exporter puts each attempt on a track of its
+// own, so the Table 4 machine's trace passes the structural check even
+// where two attempts of one transaction overlap (seed 103 does within its
+// first 10 simulated seconds).
+func TestTraceAttemptsOnOwnTracks(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ThinkTimeMs = 4000
+	cfg.Seed = 103
+	cfg.SimTimeMs, cfg.WarmupMs = 10_000, 1_000
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := m.EnableTracing()
+	m.Run()
+	restarted := 0
+	for _, e := range tr.Events() {
+		if e.Kind == obs.KindCohort && e.Attempt > 1 {
+			restarted++
+		}
+	}
+	if restarted == 0 {
+		t.Fatal("no restarted attempt ran a cohort; the regression is not exercised")
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteChromeTrace(&buf, tr.Events(), cfg.NumProcNodes); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.CheckChromeTrace(buf.Bytes()); err != nil {
+		t.Fatalf("Table 4 trace at seed 103 fails the structural check: %v", err)
+	}
+}
+
 // JSONL round-trips a real machine trace, not just handcrafted events.
 func TestMachineTraceJSONLRoundTrip(t *testing.T) {
 	cfg := tinyTraceConfig()

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -46,14 +47,15 @@ func TestRandomConfigInvariants(t *testing.T) {
 			t.Logf("config rejected: %v", err)
 			return false
 		}
+		goroutines := runtime.NumGoroutine()
 		res := m.Run()
 
 		if res.Commits == 0 {
 			t.Logf("%v: no commits (cfg %+v)", alg, cfg)
 			return false
 		}
-		if m.Sim().LiveProcs() != 0 {
-			t.Logf("%v: leaked %d processes", alg, m.Sim().LiveProcs())
+		if n := runtime.NumGoroutine(); n != goroutines {
+			t.Logf("%v: %d goroutines after the run, %d before", alg, n, goroutines)
 			return false
 		}
 		for _, u := range append(append([]float64{}, res.PerNodeCPUUtil...), res.PerNodeDiskUtil...) {

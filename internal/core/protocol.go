@@ -62,12 +62,13 @@ func (e *protocolEnv) NextTS() int64               { return e.m.nextTS() }
 func (e *protocolEnv) Logging() bool               { return e.m.cfg.ModelLogging }
 
 // ForceLog forces a log record at the coordinator's node: a synchronous
-// priority write on the host's disks, blocking the calling process.
+// priority write on the host's disks, resuming the coordinator at k when
+// it completes.
 //
 //ddbmlint:hotpath coordinator log force pinned by TestTxnPathAllocFree
-func (e *protocolEnv) ForceLog(p *sim.Proc, abortPath bool) {
+func (e *protocolEnv) ForceLog(k *sim.Cont, abortPath bool) {
 	e.m.countLogForce(abortPath)
-	e.m.hostDisks.Write(p)
+	e.m.hostDisks.Write(k)
 }
 
 // ForceLogAsync forces a log record at a cohort node's disks, running done
@@ -225,31 +226,4 @@ func (m *Machine) appendDeferred(dst *[]db.PageID, cp *workload.CohortPlan) {
 			*dst = append(*dst, a.Page) //ddbmlint:allow hotpath-alloc high-water growth; the buffer survives recycling
 		}
 	}
-}
-
-// abortAttempt resolves a failed attempt: it marks the attempt aborted
-// (with a default reason when no party recorded one) and runs the commit
-// protocol's abort path across the loaded cohorts.
-//
-//ddbmlint:hotpath abort resolution pinned by TestTxnPathAllocFree
-func (m *Machine) abortAttempt(p *sim.Proc, env *protocolEnv, t *commit.Txn, loaded int) {
-	t.Meta.AbortRequested = true
-	if t.Meta.AbortReason == "" {
-		t.Meta.AbortReason = "aborted by coordinator"
-	}
-	// Cause attribution mirrors the reason default: a no-op when any party
-	// already recorded a cause (first cause wins).
-	t.Meta.NoteCause(m.hostID, cc.CauseCoordinator)
-	env.phaseAt = m.sim.Now()
-	m.proto.Abort(p, env, t, loaded) //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
-	// Abort resolution: from the abort decision (Decided(false) fires at
-	// the top of the protocol's abort path, advancing phaseAt) to the
-	// protocol's return — the ack-collection wait under the ack-requiring
-	// variants. Nil-safe no-ops when untraced/disabled.
-	env.a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
-	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, env.txn, env.attempt, env.phaseAt)
-	// The cause tally runs here, after the abort protocol resolved: no
-	// simulated time passes between this point and the caller's
-	// txnAborted tally, so the windowed counters agree exactly.
-	m.bd.noteAbort(t.Meta, m.stats.measuring)
 }

@@ -29,7 +29,7 @@ type (
 // namespaces are per-handler: cohortRun handles the cohort tags,
 // attemptState handles the notice tags.
 const (
-	tagCohortLoad      = iota // host → node: pay startup CPU, spawn the cohort process
+	tagCohortLoad      = iota // host → node: pay startup CPU, start the cohort process
 	tagCohortDone             // node → host: deliver &c.doneMsg to the coordinator
 	tagCohortSelfAbort        // node → host: deliver &c.selfAbortMsg to the coordinator
 	tagAbortNotice            // node → host: deliver &a.abortNotice to the coordinator
@@ -41,7 +41,7 @@ const (
 // Cohort life-cycle phases tracked by the fault layer (cohortRun.phase;
 // maintained only while fault injection is on). A crash sweep uses the
 // phase to decide what a cohort left behind: a pending startup job
-// (loaded), a live process to kill (running), released resources
+// (loaded), a live process to stop (running), released resources
 // (exited), or — when in doubt — locks that must survive until recovery
 // resolves them (resident).
 const (
@@ -65,7 +65,7 @@ const (
 type attemptState struct {
 	m    *Machine
 	meta cc.TxnMeta
-	mail *sim.Mailbox
+	mail sim.Mailbox
 	env  protocolEnv
 	txn  commit.Txn
 	runs []*cohortRun
@@ -92,7 +92,7 @@ type attemptState struct {
 
 // cohortRun is the coordinator's handle on one cohort of one attempt: the
 // core-side work-phase state plus the embedded protocol-layer Cohort. Its
-// network messages and process entry points are pre-bound, so loading and
+// network messages and process steps are pre-bound, so loading and
 // running a cohort allocates nothing in steady state.
 type cohortRun struct {
 	idx     int
@@ -109,18 +109,29 @@ type cohortRun struct {
 	doneMsg      msgCohortDone
 	selfAbortMsg msgSelfAbort
 
-	spawnFn func()            // c.spawn, bound once
-	runFn   func(p *sim.Proc) // c.run, bound once
+	spawnFn   func()                              // c.spawn, bound once
+	blockedFn func(co *cc.CohortMeta, d sim.Time) // c.blocked, bound once
+
+	// The work-phase process: k resumes it at step pc, working on
+	// plan.Accesses[next]. firstWrite and out carry the current access's
+	// request mode and CC verdict across a wait; spanAt opens the cohort
+	// span.
+	k          sim.Cont
+	pc         uint8
+	next       int
+	firstWrite bool
+	out        cc.Outcome
+	spanAt     sim.Time
 
 	// Fault-layer state (zero/idle unless fault injection is on): the
 	// life-cycle phase and the cohort's slot in its node's crash
-	// registry; inDoubtAt stamps the open in-doubt window; recWait parks
-	// the recovery process across a 2PC inquiry round-trip and inqCommit
+	// registry; inDoubtAt stamps the open in-doubt window; recWait is the
+	// recovery process waiting out a 2PC inquiry round-trip and inqCommit
 	// carries the answer back.
 	phase     uint8
 	regIdx    int
 	inDoubtAt sim.Time
-	recWait   *sim.Proc
+	recWait   *sim.Cont
 	inqCommit bool
 
 	// bd points at bdStore while breakdown accounting is on (nil
@@ -147,7 +158,6 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 		m.attemptFree = m.attemptFree[:k-1]
 	} else {
 		a = &attemptState{m: m} //ddbmlint:allow hotpath-alloc pool growth: one state per high-water concurrent attempt
-		a.mail = m.sim.NewMailbox()
 		a.onAbortFn = a.onAbort
 		a.env.m = m
 		a.env.a = a
@@ -164,7 +174,7 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 	a.env.txn, a.env.attempt, a.env.phaseAt = id, attemptNo, 0
 	a.env.prepared = false
 	a.env.runs = nil
-	a.txn.Reset(&a.meta, a.mail)
+	a.txn.Reset(&a.meta, &a.mail)
 	a.runs = a.runs[:0]
 	return a
 }
@@ -261,20 +271,7 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 	}
 	c.phase, c.regIdx = phaseIdle, 0
 	c.inDoubtAt, c.recWait, c.inqCommit = 0, nil, false
-	c.meta = cc.CohortMeta{Txn: &a.meta, Node: cp.Node, OnBlocked: a.m.blockedFn}
-	if tr := a.m.tracer; tr != nil {
-		// Record each blocking episode as a cc-wait span before the stats
-		// tally. The closure exists only on the traced path, so the
-		// disabled path keeps the allocation-free pre-bound method value
-		// above.
-		m, node, id, attempt := a.m, cp.Node, a.meta.ID, attemptNo
-		c.meta.OnBlocked = func(co *cc.CohortMeta, d sim.Time) { //ddbmlint:allow hotpath-alloc traced path only; the untraced path uses the pre-bound blockedFn
-			if d > 0 {
-				tr.Complete(obs.KindCCWait, "cc-wait", node, id, attempt, m.sim.Now()-d)
-			}
-			m.onBlocked(co, d)
-		}
-	}
+	c.meta = cc.CohortMeta{Txn: &a.meta, K: &c.k, Node: cp.Node, OnBlocked: c.blockedFn}
 	c.proto.Meta = &c.meta
 	a.txn.Attach(&c.proto)
 	c.proto.ReadOnly = cp.NumWrites() == 0
@@ -286,7 +283,8 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 func newCohortRun(a *attemptState) *cohortRun {
 	c := &cohortRun{a: a, m: a.m} //ddbmlint:allow hotpath-alloc pool growth: one run per high-water cohort slot
 	c.spawnFn = c.spawn
-	c.runFn = c.run
+	c.blockedFn = c.blocked
+	c.k.Init(a.m.sim, c.step)
 	return c
 }
 
@@ -306,185 +304,310 @@ func (m *Machine) serializationStamp(meta *cc.TxnMeta) int64 {
 	}
 }
 
-// terminal models one terminal: think, submit a transaction, wait for it to
-// complete successfully, repeat (paper §3.2). The transaction plan is
-// acquired from the generator's free list and released when the
-// transaction commits (the attempts' own references keep it alive past
-// any stragglers).
-func (m *Machine) terminal(p *sim.Proc, termID int) {
-	rel := termID % m.cfg.NumRelations
-	class := m.gen.ClassOfTerminal(termID, m.cfg.NumTerminals)
-	ld := m.bd.ledger(termID)      // nil when breakdown accounting is off
-	classIdx := m.bd.class(termID) // histogram row for this terminal
-	rng := m.sim.Rand()
-	for {
-		p.Delay(sim.Exponential(rng, m.cfg.ThinkTimeMs))
-		plan := m.gen.AcquireClassPlan(rng, rel, class)
-		m.runTransaction(p, plan, ld, classIdx)
-		m.gen.Release(plan)
-	}
+// terminal is one terminal and the coordinator process it runs (paper
+// §3.2, §3.3): think, submit a transaction, drive it to a successful
+// commit — rerunning after each abort with a delay of one average
+// response time ([Agra87a]) — and think again. The coordinator runs at
+// the host node. The process is a state machine over k: pc is the step
+// it resumes at, and the remaining fields carry the transaction and
+// attempt across its waits. The transaction plan is acquired from the
+// generator's free list and released when the transaction commits (the
+// attempts' own references keep it alive past any stragglers).
+type terminal struct {
+	m        *Machine
+	k        sim.Cont
+	pc       uint8
+	rel      int            // the relation this terminal's transactions read
+	class    workload.Class // workload class of its transactions
+	classIdx int            // its breakdown histogram row
+	ld       *obs.Ledger    // its breakdown ledger; nil when accounting is off
+
+	// The transaction in progress.
+	plan     *workload.TxnPlan
+	txn      int64
+	origTS   int64 // original startup timestamp, kept across restarts
+	origin   sim.Time
+	restarts int
+
+	// The attempt in progress: its state, the attempt span's start, the
+	// cohorts loaded so far (exactly the ones an abort must reach), the
+	// done reports still awaited, and the cohort whose message ended the
+	// last wait (see awaitDone).
+	a          *attemptState
+	attemptAt  sim.Time
+	sequential bool
+	loaded     int
+	await      int
+	crit       int
 }
 
-// runTransaction drives a transaction to successful commit, rerunning after
-// each abort with a delay of one average response time (paper §3.3,
-// [Agra87a]). The terminal process acts as the coordinator, which runs at
-// the host node.
+// Coordinator steps (terminal.pc): where the process resumes after each
+// wait.
+const (
+	termThink   uint8 = iota // process start and after each commit: think
+	termSubmit               // think time over: submit a transaction
+	termHold                 // start an attempt once the host is up
+	termStarted              // coordinator startup CPU paid: load cohorts
+	termLoad                 // sequential: load the next cohort
+	termWork                 // collect the cohorts' work-phase reports
+	termPrepare              // work phase over: enter the commit protocol
+	termCommit               // in the commit protocol
+	termAbort                // in the commit protocol's abort path
+	termRestart              // restart delay over
+)
+
+// newTerminal binds terminal termID's process; Start schedules its first
+// step.
+func (m *Machine) newTerminal(t *terminal, termID int) {
+	t.m = m
+	t.rel = termID % m.cfg.NumRelations
+	t.class = m.gen.ClassOfTerminal(termID, m.cfg.NumTerminals)
+	t.ld = m.bd.ledger(termID)
+	t.classIdx = m.bd.class(termID)
+	t.k.Init(m.sim, t.step)
+}
+
+// step runs the coordinator from its resume point until it must wait.
 //
 //ddbmlint:hotpath transaction driver pinned by TestTxnPathAllocFree
-func (m *Machine) runTransaction(p *sim.Proc, plan *workload.TxnPlan, ld *obs.Ledger, class int) {
-	id := m.nextTxnID()
-	origTS := m.nextTS() // original startup timestamp, kept across restarts
-	origin := m.sim.Now()
-	ld.StartAt(origin)
-	m.stats.txnStarted(origin)
-	m.lifecycle(TxnSubmitted, id, 1, "")
-	restarts := 0
-	for {
-		if m.ft != nil {
-			m.ft.holdForHost(p)
-		}
-		attemptNo := restarts + 1
-		m.lifecycle(TxnAttemptStarted, id, attemptNo, "")
-		// The attempt span is ended explicitly, never deferred: terminals
-		// killed at simulation shutdown must not record a half-finished
-		// attempt (see obs.Span.End).
-		sp := m.tracer.Begin(obs.KindTxn, "attempt", m.hostID, id, attemptNo)
-		committed, reason := m.attempt(p, id, origTS, attemptNo, plan, ld)
-		sp.End()
-		if committed {
-			break
-		}
-		m.lifecycle(TxnAttemptAborted, id, attemptNo, reason)
-		m.stats.txnAborted()
-		restarts++
-		p.Delay(m.stats.avgResponse(m.cfg.InitialRestartDelayMs))
-		ld.Spend(m.sim.Now(), obs.PhaseRestart)
-	}
-	m.lifecycle(TxnCommitted, id, restarts+1, "")
-	resp := m.sim.Now() - origin
-	m.stats.txnCommitted(m.sim.Now(), resp, restarts)
-	m.bd.noteCommit(class, ld, m.stats.measuring)
-	if m.bdCheck != nil && ld != nil {
-		m.bdCheck(ld, resp) //ddbmlint:allow hotpath-alloc reconciliation test seam; nil outside tests
-	}
-}
-
-// attempt executes one try of the transaction: load cohorts (sequentially
-// or in parallel), wait for their work phases, then hand the attempt to
-// the configured commit protocol (centralized 2PC by default). It reports
-// whether the attempt committed and, if not, why it aborted. The abort
-// reason is captured before the coordinator's reference is released: an
-// attempt with no stragglers recycles inside release.
-//
-//ddbmlint:hotpath attempt execution pinned by TestTxnPathAllocFree
-func (m *Machine) attempt(p *sim.Proc, id, origTS int64, attemptNo int, plan *workload.TxnPlan, ld *obs.Ledger) (bool, string) {
+func (t *terminal) step() {
+	m := t.m
 	cfg := &m.cfg
-	a := m.acquireAttempt(id, origTS, attemptNo, plan, ld)
-
-	// Coordinator process startup at the host.
-	m.cpus[m.hostID].Use(p, cfg.InstPerStartup)
-	a.bd.SpendSplit(m.sim.Now(), cfg.InstPerStartup/m.cpus[m.hostID].Rate(),
-		obs.PhaseCPUService, obs.PhaseCPUQueue)
-
-	for i := range plan.Cohorts {
-		a.addCohort(&plan.Cohorts[i], attemptNo)
-	}
-	a.env.runs = a.runs
-	t, env := &a.txn, &a.env
-
-	loaded := 0
-	if cfg.ExecPattern == Sequential || plan.Sequential {
-		for _, c := range a.runs {
+	for {
+		switch t.pc {
+		case termThink:
+			t.pc = termSubmit
+			t.k.Delay(sim.Exponential(m.sim.Rand(), cfg.ThinkTimeMs))
+			return
+		case termSubmit:
+			t.plan = m.gen.AcquireClassPlan(m.sim.Rand(), t.rel, t.class)
+			t.txn = m.nextTxnID()
+			t.origTS = m.nextTS()
+			t.origin = m.sim.Now()
+			t.restarts = 0
+			t.ld.StartAt(t.origin)
+			m.stats.txnStarted(t.origin)
+			m.lifecycle(TxnSubmitted, t.txn, 1, "")
+			t.pc = termHold
+		case termHold:
+			if m.ft != nil && m.ft.inj.HostDown() {
+				// The coordinator host is mid-failover; RecoverHost
+				// resumes the held terminals, and this step checks again.
+				m.ft.hostWaiters = append(m.ft.hostWaiters, &t.k) //ddbmlint:allow hotpath-alloc waiter-queue growth chases the terminal count; reached only mid-failover
+				return
+			}
+			attemptNo := t.restarts + 1
+			m.lifecycle(TxnAttemptStarted, t.txn, attemptNo, "")
+			t.attemptAt = m.sim.Now()
+			t.a = m.acquireAttempt(t.txn, t.origTS, attemptNo, t.plan, t.ld)
+			// Coordinator process startup at the host.
+			t.pc = termStarted
+			if m.cpus[m.hostID].Use(&t.k, cfg.InstPerStartup) {
+				return
+			}
+		case termStarted:
+			a := t.a
+			a.bd.SpendSplit(m.sim.Now(), cfg.InstPerStartup/m.cpus[m.hostID].Rate(),
+				obs.PhaseCPUService, obs.PhaseCPUQueue)
+			for i := range t.plan.Cohorts {
+				a.addCohort(&t.plan.Cohorts[i], a.env.attempt)
+			}
+			a.env.runs = a.runs
+			t.loaded = 0
+			t.sequential = cfg.ExecPattern == Sequential || t.plan.Sequential
+			if t.sequential {
+				t.pc = termLoad
+				continue
+			}
+			// One down check covers the whole parallel fan-out: no
+			// simulated time passes between the loads, so a node up here
+			// is up for every send below.
+			if m.ft != nil && m.ft.anyPlanNodeDown(a) {
+				m.ft.markCrashAbort(&a.meta)
+				t.beginAbort()
+				continue
+			}
+			for _, c := range a.runs {
+				m.loadCohort(c)
+				t.loaded++
+			}
+			t.await, t.crit = t.loaded, -1
+			t.pc = termWork
+		case termLoad:
+			a := t.a
+			if t.loaded == len(a.runs) {
+				t.pc = termPrepare
+				continue
+			}
+			c := a.runs[t.loaded]
 			if m.ft != nil && m.ft.inj.Down(c.meta.Node) {
 				// Fail fast: a cohort's node is known dead, so the attempt
 				// aborts instead of loading into the void. Re-checked per
 				// load — a node can crash while an earlier cohort runs.
 				m.ft.markCrashAbort(&a.meta)
-				m.abortAttempt(p, env, t, loaded)
-				reason := a.meta.AbortReason
-				a.release()
-				return false, reason
+				t.beginAbort()
+				continue
 			}
 			m.loadCohort(c)
-			loaded++
-			ok, crit := m.awaitDone(p, a.mail, 1)
-			a.foldWork(crit)
-			if !ok {
-				m.abortAttempt(p, env, t, loaded)
-				reason := a.meta.AbortReason
-				a.release()
-				return false, reason
+			t.loaded++
+			t.await, t.crit = 1, -1
+			t.pc = termWork
+		case termWork:
+			ok, waiting := t.awaitDone()
+			if waiting {
+				return
 			}
-		}
-	} else {
-		// One down check covers the whole parallel fan-out: no simulated
-		// time passes between the loads, so a node up here is up for every
-		// send below.
-		if m.ft != nil && m.ft.anyPlanNodeDown(a) {
-			m.ft.markCrashAbort(&a.meta)
-			m.abortAttempt(p, env, t, 0)
-			reason := a.meta.AbortReason
-			a.release()
-			return false, reason
-		}
-		for _, c := range a.runs {
-			m.loadCohort(c)
-			loaded++
-		}
-		ok, crit := m.awaitDone(p, a.mail, loaded)
-		a.foldWork(crit)
-		if !ok {
-			m.abortAttempt(p, env, t, loaded)
-			reason := a.meta.AbortReason
-			a.release()
-			return false, reason
+			t.a.foldWork(t.crit)
+			switch {
+			case !ok:
+				t.beginAbort()
+			case t.sequential:
+				t.pc = termLoad
+			default:
+				t.pc = termPrepare
+			}
+		case termPrepare:
+			a := t.a
+			if a.meta.AbortRequested {
+				t.beginAbort()
+				continue
+			}
+			a.env.phaseAt = m.sim.Now()
+			t.pc = termCommit
+		case termCommit:
+			a := t.a
+			switch m.proto.Commit(&t.k, &a.env, &a.txn) { //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
+			case commit.Waiting:
+				return
+			case commit.Aborted:
+				t.beginAbort()
+				continue
+			}
+			// Commit resolution: from the logged decision (Decided
+			// advanced the ledger cursor and phaseAt) to the protocol's
+			// return — zero for the asynchronous phase-two fan-out.
+			// Nil-safe no-ops when disabled.
+			a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
+			m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, t.txn, a.env.attempt, a.env.phaseAt)
+			t.endAttempt()
+			t.committed()
+			t.pc = termThink
+		case termAbort:
+			a := t.a
+			if m.proto.Abort(&t.k, &a.env, &a.txn, t.loaded) == commit.Waiting { //ddbmlint:allow hotpath-alloc Protocol dispatch; see above
+				return
+			}
+			reason := t.abortResolved()
+			attemptNo := a.env.attempt
+			t.endAttempt()
+			m.lifecycle(TxnAttemptAborted, t.txn, attemptNo, reason)
+			m.stats.txnAborted()
+			t.restarts++
+			t.pc = termRestart
+			t.k.Delay(m.stats.avgResponse(cfg.InitialRestartDelayMs))
+			return
+		case termRestart:
+			t.ld.Spend(m.sim.Now(), obs.PhaseRestart)
+			t.pc = termHold
 		}
 	}
-	if a.meta.AbortRequested {
-		m.abortAttempt(p, env, t, len(a.runs))
-		reason := a.meta.AbortReason
-		a.release()
-		return false, reason
-	}
-
-	env.phaseAt = m.sim.Now()
-	if !m.proto.Commit(p, env, t) { //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
-		m.abortAttempt(p, env, t, len(a.runs))
-		reason := a.meta.AbortReason
-		a.release()
-		return false, reason
-	}
-	// Commit resolution: from the logged decision (Decided advanced the
-	// ledger cursor and phaseAt) to the protocol's return — zero for the
-	// asynchronous phase-two fan-out. Nil-safe no-ops when disabled.
-	a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
-	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, id, attemptNo, env.phaseAt)
-	a.release()
-	return true, ""
 }
 
-// awaitDone consumes coordinator mail until n cohorts report work-phase
-// completion; ok turns false as soon as any abort signal arrives. crit
-// identifies the cohort whose message ended the wait — the last done
-// report (the critical cohort: the mailbox is FIFO in delivery order, so
-// the n-th consumed done is the latest delivered) or the self-aborting
-// cohort — or -1 when an attempt-level abort notice ended it.
+// beginAbort marks the attempt aborted (with a default reason when no
+// party recorded one) and enters the commit protocol's abort path across
+// the loaded cohorts.
+//
+//ddbmlint:hotpath abort resolution pinned by TestTxnPathAllocFree
+func (t *terminal) beginAbort() {
+	a := t.a
+	meta := &a.meta
+	meta.AbortRequested = true
+	if meta.AbortReason == "" {
+		meta.AbortReason = "aborted by coordinator"
+	}
+	// Cause attribution mirrors the reason default: a no-op when any party
+	// already recorded a cause (first cause wins).
+	meta.NoteCause(t.m.hostID, cc.CauseCoordinator)
+	a.env.phaseAt = t.m.sim.Now()
+	t.pc = termAbort
+}
+
+// abortResolved closes the abort path once the protocol lets the
+// coordinator forget the attempt, and returns the abort reason.
+//
+//ddbmlint:hotpath abort resolution pinned by TestTxnPathAllocFree
+func (t *terminal) abortResolved() string {
+	m, a := t.m, t.a
+	// Abort resolution: from the abort decision (Decided(false) fires at
+	// the top of the protocol's abort path, advancing phaseAt) to the
+	// protocol's return — the ack-collection wait under the ack-requiring
+	// variants. Nil-safe no-ops when untraced/disabled.
+	a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
+	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, t.txn, a.env.attempt, a.env.phaseAt)
+	// The cause tally runs here, after the abort protocol resolved: no
+	// simulated time passes between this point and the txnAborted tally,
+	// so the windowed counters agree exactly.
+	m.bd.noteAbort(&a.meta, m.stats.measuring)
+	return a.meta.AbortReason
+}
+
+// endAttempt drops the coordinator's reference to the finished attempt
+// (an attempt with no stragglers recycles here) and records its span.
+//
+//ddbmlint:hotpath attempt end pinned by TestTxnPathAllocFree
+func (t *terminal) endAttempt() {
+	attemptNo := t.a.env.attempt
+	t.a.release()
+	t.a = nil
+	t.m.tracer.Complete(obs.KindTxn, "attempt", t.m.hostID, t.txn, attemptNo, t.attemptAt)
+}
+
+// committed completes the transaction: response-time statistics, the
+// breakdown record, and the plan's return to the generator.
+//
+//ddbmlint:hotpath transaction commit pinned by TestTxnPathAllocFree
+func (t *terminal) committed() {
+	m := t.m
+	m.lifecycle(TxnCommitted, t.txn, t.restarts+1, "")
+	resp := m.sim.Now() - t.origin
+	m.stats.txnCommitted(m.sim.Now(), resp, t.restarts)
+	m.bd.noteCommit(t.classIdx, t.ld, m.stats.measuring)
+	if m.bdCheck != nil && t.ld != nil {
+		m.bdCheck(t.ld, resp) //ddbmlint:allow hotpath-alloc reconciliation test seam; nil outside tests
+	}
+	m.gen.Release(t.plan)
+	t.plan = nil
+}
+
+// awaitDone consumes coordinator mail until t.await cohorts report
+// work-phase completion; ok turns false as soon as any abort signal
+// arrives, and waiting reports that the mail ran out first (k then waits
+// on the mailbox). t.crit identifies the cohort whose message ended the
+// wait — the last done report (the critical cohort: the mailbox is FIFO
+// in delivery order, so the last consumed done is the latest delivered)
+// or the self-aborting cohort — or -1 when an attempt-level abort notice
+// ended it.
 //
 //ddbmlint:hotpath coordinator mail loop pinned by TestTxnPathAllocFree
-func (m *Machine) awaitDone(p *sim.Proc, mail *sim.Mailbox, n int) (ok bool, crit int) {
-	crit = -1
-	for done := 0; done < n; {
-		switch msg := mail.Recv(p).(type) {
+func (t *terminal) awaitDone() (ok, waiting bool) {
+	for t.await > 0 {
+		msg, got := t.a.mail.Recv(&t.k)
+		if !got {
+			return false, true
+		}
+		switch msg := msg.(type) {
 		case *msgCohortDone:
-			done++
-			crit = msg.idx
+			t.await--
+			t.crit = msg.idx
 		case *msgSelfAbort:
-			return false, msg.idx
+			t.crit = msg.idx
+			return false, false
 		case *msgAbortNotice:
-			return false, -1
+			t.crit = -1
+			return false, false
 		}
 	}
-	return true, crit
+	return true, false
 }
 
 // foldWork merges the reporting cohort's breakdown mini-ledger into the
@@ -508,7 +631,7 @@ func (a *attemptState) foldWork(crit int) {
 
 // loadCohort sends the "load cohort" message; at the destination the
 // process-startup CPU cost is paid and the cohort process begins. The
-// reference taken here is held until the cohort process exits, so an
+// reference taken here is held until the cohort process ends, so an
 // attempt never recycles under a cohort that is still winding down.
 //
 //ddbmlint:hotpath cohort load pinned by TestTxnPathAllocFree
@@ -558,10 +681,10 @@ func (c *cohortRun) HandleMsg(tag int) {
 		c.m.net.Send(c.m.hostID, c.meta.Node, c, tagCohortDecision)
 		c.a.release()
 	case tagCohortDecision:
-		// Back at the node: wake the parked recovery process.
-		p := c.recWait
+		// Back at the node: resume the waiting recovery process.
+		k := c.recWait
 		c.recWait = nil
-		p.Resume()
+		k.Resume()
 		c.a.release()
 	}
 }
@@ -572,145 +695,256 @@ func (c *cohortRun) HandleMsg(tag int) {
 // dropped report means its news died with the node.
 func (c *cohortRun) MsgDropped(int) { c.a.release() }
 
-// spawn starts the cohort process once the startup CPU cost is paid. The
-// process name is the node's static cohort name: spawn names are
-// debug-only, and formatting one per load would allocate.
+// spawn starts the cohort process once the startup CPU cost is paid.
 //
 //ddbmlint:hotpath cohort process start pinned by TestTxnPathAllocFree
 func (c *cohortRun) spawn() {
 	c.bd.SpendSplit(c.m.sim.Now(), c.m.cfg.InstPerStartup/c.m.cpus[c.meta.Node].Rate(),
 		obs.PhaseCPUService, obs.PhaseCPUQueue)
-	p := c.m.sim.Spawn(c.m.cohortNames[c.meta.Node], c.runFn)
+	c.pc = cohortStart
+	c.k.Resume()
 	if c.m.ft != nil {
-		// Record the process (and the running phase) here, not in run: a
-		// crash landing between the spawn and the process's first step
-		// must still find something to kill.
-		c.meta.Proc = p
+		// The running phase starts here, not at the first step: a crash
+		// landing between the two must still find a process to stop.
 		c.phase = phaseRunning
 	}
 }
 
-// run is the cohort process body.
-//
-//ddbmlint:hotpath cohort process body pinned by TestTxnPathAllocFree
-func (c *cohortRun) run(cp *sim.Proc) {
-	c.meta.Proc = cp
-	c.m.runCohort(cp, c)
-}
+// Cohort work-phase steps (cohortRun.pc): where the process resumes after
+// each wait.
+const (
+	cohortStart      uint8 = iota // process start
+	cohortNext                    // the next access, or the done report
+	cohortRemoteCC                // CC-request CPU paid: request remote-copy write permission
+	cohortRemoteLock              // remote-copy permission verdict
+	cohortCC                      // CC-request CPU paid: request the access
+	cohortLock                    // access verdict: read the page
+	cohortRead                    // page read: process it
+	cohortPage                    // page processed: the write's CC request, if any
+	cohortWriteCC                 // CC-request CPU paid: request write permission
+	cohortWriteLock               // write permission verdict
+	cohortWritten                 // write processing done
+)
 
-// runCohort executes a cohort's work phase: for each access, a concurrency
-// control request, a synchronous disk read, and page-processing CPU; for
-// updates, a second (write) concurrency control request — the update itself
-// is buffered until commit. The cohort stops silently if its transaction is
-// already being aborted (the abort protocol handles cleanup), and reports
-// conflicts it loses to the coordinator. Every exit path releases the
-// reference loadCohort took.
+// step runs the cohort's work phase from its resume point until it must
+// wait: for each access, a concurrency control request, a synchronous
+// disk read, and page-processing CPU; for updates, a second (write)
+// concurrency control request — the update itself is buffered until
+// commit. The cohort stops silently if its transaction is already being
+// aborted (the abort protocol handles cleanup), and reports conflicts it
+// loses to the coordinator. Every exit path releases the reference
+// loadCohort took.
 //
 //ddbmlint:hotpath cohort work phase pinned by TestTxnPathAllocFree
-func (m *Machine) runCohort(cp *sim.Proc, c *cohortRun) {
+func (c *cohortRun) step() {
+	m := c.m
 	cfg := &m.cfg
 	node := c.meta.Node
-	mgr := m.mgrs[node]
-	cpu := m.cpus[node]
-	disks := m.disks[node]
-	if m.activeCohorts != nil {
-		m.activeCohorts[node]++
-	}
-	sp := m.tracer.Begin(obs.KindCohort, "cohort", node, c.meta.Txn.ID, c.attempt)
-	deferAllWrites := cfg.Algorithm == cc.O2PL
-	for i := range c.plan.Accesses {
-		a := &c.plan.Accesses[i]
-		if c.meta.Txn.AbortRequested {
-			m.cohortDone(c, sp)
-			c.a.release()
-			return
+	for {
+		var a *workload.Access
+		if c.next < len(c.plan.Accesses) {
+			a = &c.plan.Accesses[c.next]
 		}
-		if a.Remote {
-			// Write to a non-primary copy: a write permission request only
-			// (read-one/write-all); the copy is installed at commit. In
-			// deferred mode the lock request moves to the prepare phase.
-			if cfg.DeferRemoteWriteLocks || deferAllWrites {
-				continue
+		switch c.pc {
+		case cohortStart:
+			if m.activeCohorts != nil {
+				m.activeCohorts[node]++
 			}
-			cpu.Use(cp, cfg.InstPerCCReq)
-			c.bd.SpendSplit(m.sim.Now(), cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-			out := mgr.Access(&c.meta, a.Page, true) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; managers are audited by their own alloc pins
-			c.bd.Spend(m.sim.Now(), obs.PhaseLockBlocked)
-			if out == cc.Aborted {
-				m.reportSelfAbort(c)
-				m.cohortDone(c, sp)
+			c.spanAt = m.sim.Now()
+			c.next = 0
+			c.pc = cohortNext
+		case cohortNext:
+			if a == nil {
+				m.cohortDone(c)
+				c.a.retain()
+				m.net.Send(node, m.hostID, c, tagCohortDone)
 				c.a.release()
 				return
 			}
-			continue
-		}
-		// For pages the transaction will update, the locking algorithms can
-		// claim write permission up front (the update set is known) or
-		// read-then-convert (§2.2 literally); timestamp algorithms always
-		// see the read first so their read rules apply.
-		firstAccessIsWrite := a.Write && !cfg.UpgradeWriteLocks && locksUpFront(cfg.Algorithm)
-		cpu.Use(cp, cfg.InstPerCCReq)
-		c.bd.SpendSplit(m.sim.Now(), cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-		out := mgr.Access(&c.meta, a.Page, firstAccessIsWrite) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
-		c.bd.Spend(m.sim.Now(), obs.PhaseLockBlocked)
-		if out == cc.Aborted {
-			m.reportSelfAbort(c)
-			m.cohortDone(c, sp)
-			c.a.release()
-			return
-		}
-		if m.rec != nil {
-			c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, node)}) //ddbmlint:allow hotpath-alloc audit-only path; auditing is off in measured runs
-		}
-		disks.ReadMeasured(cp, &c.diskSvc)
-		c.bd.SpendSplit(m.sim.Now(), c.diskSvc, obs.PhaseDiskService, obs.PhaseDiskQueue)
-		cpu.Use(cp, a.Inst)
-		c.bd.SpendSplit(m.sim.Now(), a.Inst/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-		if a.Write {
 			if c.meta.Txn.AbortRequested {
-				m.cohortDone(c, sp)
+				m.cohortDone(c)
 				c.a.release()
 				return
 			}
-			if !firstAccessIsWrite && !deferAllWrites {
-				cpu.Use(cp, cfg.InstPerCCReq)
-				c.bd.SpendSplit(m.sim.Now(), cfg.InstPerCCReq/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
-				out := mgr.Access(&c.meta, a.Page, true) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
-				c.bd.Spend(m.sim.Now(), obs.PhaseLockBlocked)
-				if out == cc.Aborted {
-					m.reportSelfAbort(c)
-					m.cohortDone(c, sp)
-					c.a.release()
+			if a.Remote {
+				// Write to a non-primary copy: a write permission request
+				// only (read-one/write-all); the copy is installed at
+				// commit. In deferred mode the lock request moves to the
+				// prepare phase.
+				if cfg.DeferRemoteWriteLocks || cfg.Algorithm == cc.O2PL {
+					c.next++
+					continue
+				}
+				if c.use(cfg.InstPerCCReq, cohortRemoteCC) {
 					return
 				}
+				continue
+			}
+			// For pages the transaction will update, the locking
+			// algorithms can claim write permission up front (the update
+			// set is known) or read-then-convert (§2.2 literally);
+			// timestamp algorithms always see the read first so their
+			// read rules apply.
+			c.firstWrite = a.Write && !cfg.UpgradeWriteLocks && locksUpFront(cfg.Algorithm)
+			if c.use(cfg.InstPerCCReq, cohortCC) {
+				return
+			}
+		case cohortRemoteCC:
+			c.spendCPU(cfg.InstPerCCReq)
+			if c.access(a, true, cohortRemoteLock) {
+				return
+			}
+		case cohortRemoteLock:
+			if c.verdict() == cc.Aborted {
+				c.selfAbort()
+				return
+			}
+			c.next++
+			c.pc = cohortNext
+		case cohortCC:
+			c.spendCPU(cfg.InstPerCCReq)
+			if c.access(a, c.firstWrite, cohortLock) {
+				return
+			}
+		case cohortLock:
+			if c.verdict() == cc.Aborted {
+				c.selfAbort()
+				return
+			}
+			if m.rec != nil {
+				c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, node)}) //ddbmlint:allow hotpath-alloc audit-only path; auditing is off in measured runs
+			}
+			c.pc = cohortRead
+			m.disks[node].ReadMeasured(&c.k, &c.diskSvc)
+			return
+		case cohortRead:
+			c.bd.SpendSplit(m.sim.Now(), c.diskSvc, obs.PhaseDiskService, obs.PhaseDiskQueue)
+			if c.use(a.Inst, cohortPage) {
+				return
+			}
+		case cohortPage:
+			c.spendCPU(a.Inst)
+			if !a.Write {
+				c.next++
+				c.pc = cohortNext
+				continue
+			}
+			if c.meta.Txn.AbortRequested {
+				m.cohortDone(c)
+				c.a.release()
+				return
+			}
+			if !c.firstWrite && cfg.Algorithm != cc.O2PL {
+				if c.use(cfg.InstPerCCReq, cohortWriteCC) {
+					return
+				}
+				continue
 			}
 			// Processing the page "when writing it" (Table 2); the update
 			// itself stays buffered until commit.
-			cpu.Use(cp, a.WriteInst)
-			c.bd.SpendSplit(m.sim.Now(), a.WriteInst/cpu.Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
+			if c.use(a.WriteInst, cohortWritten) {
+				return
+			}
+		case cohortWriteCC:
+			c.spendCPU(cfg.InstPerCCReq)
+			if c.access(a, true, cohortWriteLock) {
+				return
+			}
+		case cohortWriteLock:
+			if c.verdict() == cc.Aborted {
+				c.selfAbort()
+				return
+			}
+			if c.use(a.WriteInst, cohortWritten) {
+				return
+			}
+		case cohortWritten:
+			c.spendCPU(a.WriteInst)
+			c.next++
+			c.pc = cohortNext
 		}
 	}
-	m.cohortDone(c, sp)
-	c.a.retain()
-	m.net.Send(node, m.hostID, c, tagCohortDone)
+}
+
+// use submits inst instructions of page-level CPU work and moves the
+// process to step next, reporting whether it must wait for the CPU (a
+// zero cost continues inline).
+//
+//ddbmlint:hotpath cohort CPU request pinned by TestTxnPathAllocFree
+func (c *cohortRun) use(inst float64, next uint8) bool {
+	c.pc = next
+	return c.m.cpus[c.meta.Node].Use(&c.k, inst)
+}
+
+// spendCPU accounts the CPU work just finished as service plus queueing.
+//
+//ddbmlint:hotpath cohort CPU accounting pinned by TestTxnPathAllocFree
+func (c *cohortRun) spendCPU(inst float64) {
+	c.bd.SpendSplit(c.m.sim.Now(), inst/c.m.cpus[c.meta.Node].Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
+}
+
+// access requests concurrency control permission for the access and moves
+// the process to step next, reporting whether it must wait for the
+// verdict.
+//
+//ddbmlint:hotpath cohort CC request pinned by TestTxnPathAllocFree
+func (c *cohortRun) access(a *workload.Access, write bool, next uint8) bool {
+	c.pc = next
+	c.out = c.m.mgrs[c.meta.Node].Access(&c.meta, a.Page, write) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; managers are audited by their own alloc pins
+	return c.out == cc.Blocked
+}
+
+// verdict closes a concurrency control request: its outcome (read from
+// the cohort meta, with the episode observed, when the request waited),
+// with the time since the request accounted as lock blocking.
+//
+//ddbmlint:hotpath cohort CC verdict pinned by TestTxnPathAllocFree
+func (c *cohortRun) verdict() cc.Outcome {
+	out := c.out
+	if out == cc.Blocked {
+		var d sim.Time
+		out, d = c.meta.Verdict()
+		c.blocked(&c.meta, d)
+	}
+	c.bd.Spend(c.m.sim.Now(), obs.PhaseLockBlocked)
+	return out
+}
+
+// blocked observes one of the cohort's blocking episodes, ending now
+// after d: a cc-wait span when tracing, then the machine's tally. It is
+// also the cohort meta's OnBlocked hook, for waits in a deferred-write
+// acquisition.
+//
+//ddbmlint:hotpath blocking-episode observation pinned by TestTxnPathAllocFree
+func (c *cohortRun) blocked(co *cc.CohortMeta, d sim.Time) {
+	if tr := c.m.tracer; tr != nil && d > 0 {
+		tr.Complete(obs.KindCCWait, "cc-wait", c.meta.Node, c.meta.Txn.ID, c.attempt, c.m.sim.Now()-d)
+	}
+	c.m.onBlocked(co, d)
+}
+
+// selfAbort ends a work phase whose access concurrency control rejected.
+//
+//ddbmlint:hotpath cc-reject exit pinned by TestTxnPathAllocFree
+func (c *cohortRun) selfAbort() {
+	c.m.reportSelfAbort(c)
+	c.m.cohortDone(c)
 	c.a.release()
 }
 
-// cohortDone closes a cohort's observability state. Deliberately called
-// explicitly on every work-phase exit path rather than deferred: a cohort
-// killed at simulation shutdown must not record its span (its
-// coordinator's attempt span never records either), and the gauge is only
-// read by the sampler, which has no events left by then.
+// cohortDone closes a cohort's observability state on every work-phase
+// exit path. A cohort still running when the simulation ends records no
+// span (its coordinator's attempt span never records either).
 //
 //ddbmlint:hotpath cohort exit pinned by TestTxnPathAllocFree
-func (m *Machine) cohortDone(c *cohortRun, sp *obs.Span) {
+func (m *Machine) cohortDone(c *cohortRun) {
 	if m.activeCohorts != nil {
 		m.activeCohorts[c.meta.Node]--
 	}
 	if m.ft != nil {
 		c.phase = phaseExited
 	}
-	sp.End()
+	m.tracer.Complete(obs.KindCohort, "cohort", c.meta.Node, c.meta.Txn.ID, c.attempt, c.spanAt)
 }
 
 // locksUpFront reports whether the algorithm can usefully claim write

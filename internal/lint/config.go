@@ -70,9 +70,11 @@ func (c Config) policy(check string) Policy {
 //     exempt from the direct check — taint-rand guards the boundary.
 //   - map-order: non-test simulation code must not let Go's randomized
 //     map iteration order reach anything order-sensitive.
-//   - no-naked-goroutine: internal/sim owns the run-to-block scheduler;
-//     host concurrency anywhere else needs an audited annotation. Test
-//     harnesses are exempt.
+//   - no-naked-goroutine: simulation processes are continuations on the
+//     caller's goroutine, and only internal/sim may start a goroutine —
+//     by a go statement or a goroutine process (Sim.Spawn, kept for the
+//     kernel benchmark). Host concurrency anywhere else needs an audited
+//     annotation. Test harnesses are exempt.
 //   - event-retention: *sim.Event handles die when they fire or are
 //     canceled (free-list recycling), so only internal/sim itself may
 //     retain them structurally. Test files are exempt.

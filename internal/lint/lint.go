@@ -10,7 +10,7 @@
 //	no-wall-clock       time.Now/Since/Sleep/... in simulation code
 //	no-global-rand      package-level math/rand functions
 //	map-order           for-range over a map with an order-sensitive body
-//	no-naked-goroutine  go statements outside internal/sim
+//	no-naked-goroutine  go statements and Sim.Spawn outside internal/sim
 //	event-retention     *sim.Event stored in a field or package var
 //	span-retention      *obs.Span stored in a field or package var
 //	no-reflect-sort     sort.Slice/sort.SliceStable in internal/ code

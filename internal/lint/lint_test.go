@@ -170,7 +170,7 @@ func TestPolicyScope(t *testing.T) {
 		{"ddbm", true},
 		{"ddbm/internal/sim", true},
 		{"ddbm/cmd", false},
-		{"ddbm/cmd/bench", false},
+		{"ddbm/cmd/ddbsim", false},
 		{"ddbm/cmdline", true}, // prefix match is per path segment
 		{"fixture/pkg", false},
 	}

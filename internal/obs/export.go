@@ -16,16 +16,34 @@ import (
 // a seeded run directly.
 
 // Chrome trace-event mapping (loadable in Perfetto / chrome://tracing):
-// one "process" per simulated node, one "thread" per transaction id for
-// the transaction-scoped spans. Node-scoped activity gets synthetic
-// threads — tid -1 for the CPU's busy periods, tid -(2+spindle) for each
-// disk spindle — on which spans are serial by construction. Message
-// transits become async begin/end pairs (ph "b"/"e"), which Perfetto
-// renders on a per-process async track without any nesting requirement.
+// one "process" per simulated node, one "thread" per transaction attempt
+// for the transaction-scoped events (see attemptTid). Node-scoped activity
+// gets synthetic threads — tid -1 for the CPU's busy periods, tid
+// -(2+spindle) for each disk spindle — on which spans are serial by
+// construction. Message transits become async begin/end pairs (ph
+// "b"/"e"), which Perfetto renders on a per-process async track without
+// any nesting requirement.
 const (
 	cpuTid      = -1
 	diskTidBase = -2
+	// attemptShift places attempt k > 1 of transaction txn on tid
+	// k<<attemptShift | txn.
+	attemptShift = 32
 )
+
+// attemptTid is the track of a transaction-scoped event: tid = txn for a
+// transaction's first attempt, and a track of its own for every later
+// one. The attempts of one transaction can overlap at a node — an aborted
+// attempt's cohort may still be finishing its in-flight access when the
+// restarted attempt's cohort starts there — and spans on one track must
+// nest. A later attempt's tid lies above every transaction id below
+// 2^attemptShift, and all of them above the negative resource tids.
+func attemptTid(txn int64, attempt int) int64 {
+	if attempt <= 1 {
+		return txn
+	}
+	return int64(attempt)<<attemptShift | txn
+}
 
 // chromeEvent is one trace-event entry; fields follow the Chrome
 // trace-event format. Ts and Dur are microseconds (the format's unit);
@@ -157,7 +175,7 @@ func WriteChromeTrace(w io.Writer, events []Event, host int) error {
 				return err
 			}
 		case KindInstant:
-			ev := chromeEvent{Name: e.Name, Ph: "i", Ts: ts, Pid: e.Node, Tid: e.Txn, S: "t"}
+			ev := chromeEvent{Name: e.Name, Ph: "i", Ts: ts, Pid: e.Node, Tid: attemptTid(e.Txn, e.Attempt), S: "t"}
 			if e.Txn != 0 || e.Detail != "" {
 				ev.Args = &chromeArgs{Txn: e.Txn, Attempt: e.Attempt, Detail: e.Detail}
 			}
@@ -165,7 +183,7 @@ func WriteChromeTrace(w io.Writer, events []Event, host int) error {
 				return err
 			}
 		default: // txn, cohort, cc-wait, commit-phase
-			ev := chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node, Tid: e.Txn,
+			ev := chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node, Tid: attemptTid(e.Txn, e.Attempt),
 				Args: &chromeArgs{Txn: e.Txn, Attempt: e.Attempt, Detail: e.Detail}}
 			if err := emit(ev); err != nil {
 				return err

@@ -144,7 +144,7 @@ func (s *Span) End() {
 		End:     t.sim.Now(),
 	})
 	s.tr = nil
-	t.spanFree = append(t.spanFree, s) //ddbmlint:allow hotpath-alloc span free-list push; capacity reaches the open-span high-water mark
+	t.spanFree = append(t.spanFree, s)
 }
 
 // Tracer records spans and instants against one simulation's clock. The
@@ -208,7 +208,7 @@ func (t *Tracer) Begin(kind Kind, name string, node int, txn int64, attempt int)
 		t.spanFree[n-1] = nil
 		t.spanFree = t.spanFree[:n-1]
 	} else {
-		s = &Span{} //ddbmlint:allow hotpath-alloc span pool growth; one per open-span high-water slot
+		s = &Span{}
 	}
 	*s = Span{tr: t, kind: kind, name: name, node: node, txn: txn, attempt: attempt, start: t.sim.Now()}
 	return s

@@ -4,16 +4,21 @@ import (
 	"testing"
 
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
+
+// useStep is a script step consuming inst instructions of PS work on c.
+func useStep(c *CPU, inst float64) simtest.Step {
+	return simtest.Wait(func(k *sim.Cont) bool { return c.Use(k, inst) })
+}
 
 func TestUseMsgBlocking(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	var done sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		c.UseMsgBlocking(p, 3000)
-		done = s.Now()
-	})
+	simtest.Go(s,
+		simtest.Wait(func(k *sim.Cont) bool { return c.UseMsgBlocking(k, 3000) }),
+		simtest.Do(func() { done = s.Now() }))
 	s.Run(100)
 	if done != 3 {
 		t.Errorf("blocking message finished at %v ms, want 3", done)
@@ -24,13 +29,19 @@ func TestUseMsgBlockingZeroCost(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	ran := false
-	s.Spawn("p", func(p *sim.Proc) {
-		c.UseMsgBlocking(p, 0)
-		ran = true
-		if s.Now() != 0 {
-			t.Error("zero-cost blocking message advanced time")
-		}
-	})
+	simtest.Go(s,
+		func(k *sim.Cont) bool {
+			if c.UseMsgBlocking(k, 0) {
+				t.Error("zero-cost blocking message made the process wait")
+			}
+			return false
+		},
+		simtest.Do(func() {
+			ran = true
+			if s.Now() != 0 {
+				t.Error("zero-cost blocking message advanced time")
+			}
+		}))
 	s.Run(10)
 	if !ran {
 		t.Fatal("process never resumed")
@@ -42,15 +53,11 @@ func TestUseMsgBlockingPreemptsPS(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	var msgDone, jobDone sim.Time
-	s.Spawn("job", func(p *sim.Proc) {
-		c.Use(p, 10000)
-		jobDone = s.Now()
-	})
-	s.Spawn("msg", func(p *sim.Proc) {
-		p.Delay(2)
-		c.UseMsgBlocking(p, 1000)
-		msgDone = s.Now()
-	})
+	simtest.Go(s, useStep(c, 10000), simtest.Do(func() { jobDone = s.Now() }))
+	simtest.Go(s,
+		simtest.Delay(2),
+		simtest.Wait(func(k *sim.Cont) bool { return c.UseMsgBlocking(k, 1000) }),
+		simtest.Do(func() { msgDone = s.Now() }))
 	s.Run(100)
 	if msgDone != 3 {
 		t.Errorf("message done at %v, want 3", msgDone)

@@ -16,20 +16,21 @@ const instEpsilon = 1e-6
 
 // cpuJob is one unit of CPU work, held by value in the CPU's queues so
 // steady-state submission allocates nothing. Completion either resumes
-// proc (the blocking Use/UseMsgBlocking path — no closure needed) or
-// invokes done (the async path — callers pass pre-bound functions).
+// the waiting process's continuation k (the Use/UseMsgBlocking path — no
+// closure needed) or invokes done (the async path — callers pass
+// pre-bound functions).
 type cpuJob struct {
 	remaining float64 // instructions left
 	done      func()
-	proc      *sim.Proc
+	k         *sim.Cont
 }
 
 // finish delivers the job's completion to its owner.
 //
 //ddbmlint:hotpath job completion on the steady-state transaction path
 func (j *cpuJob) finish() {
-	if j.proc != nil {
-		j.proc.Resume()
+	if j.k != nil {
+		j.k.Resume()
 		return
 	}
 	if j.done != nil {
@@ -141,17 +142,19 @@ func (c *CPU) noteArrival() {
 	}
 }
 
-// Use consumes inst instructions of processor-sharing service, blocking the
-// calling process until the work completes. Zero or negative cost returns
-// immediately (the paper sets several overheads to zero).
+// Use consumes inst instructions of processor-sharing service on behalf of
+// the process whose continuation is k. It reports whether the process
+// must wait: k is then resumed when the work completes. Zero or negative
+// cost reports false and the process continues inline (the paper sets
+// several overheads to zero).
 //
 //ddbmlint:hotpath cohort work phase pinned by TestTxnPathAllocFree
-func (c *CPU) Use(p *sim.Proc, inst float64) {
+func (c *CPU) Use(k *sim.Cont, inst float64) bool {
 	if inst <= 0 {
-		return
+		return false
 	}
-	c.submitPS(cpuJob{remaining: inst, proc: p})
-	p.Suspend()
+	c.submitPS(cpuJob{remaining: inst, k: k})
+	return true
 }
 
 // UseAsync submits processor-sharing work and invokes done on completion
@@ -184,15 +187,16 @@ func (c *CPU) UseMsg(inst float64, done func()) {
 	c.submitMsg(cpuJob{remaining: inst, done: done})
 }
 
-// UseMsgBlocking is UseMsg for callers running inside a process.
+// UseMsgBlocking is UseMsg for a process: like Use, it reports whether
+// the process must wait for k to be resumed.
 //
 //ddbmlint:hotpath blocking message service on the transaction path
-func (c *CPU) UseMsgBlocking(p *sim.Proc, inst float64) {
+func (c *CPU) UseMsgBlocking(k *sim.Cont, inst float64) bool {
 	if inst <= 0 {
-		return
+		return false
 	}
-	c.submitMsg(cpuJob{remaining: inst, proc: p})
-	p.Suspend()
+	c.submitMsg(cpuJob{remaining: inst, k: k})
+	return true
 }
 
 //ddbmlint:hotpath shared PS submission path
@@ -330,9 +334,9 @@ func (c *CPU) complete() {
 
 // Crash discards every queued and in-service job without delivering any
 // completion — the crash-stop failure semantics. Work in flight at the
-// crash instant is simply lost: blocked submitters are NOT resumed (the
-// fault layer kills or rescues their processes separately) and async
-// callbacks never run. The busy-time accounting keeps everything accrued
+// crash instant is simply lost: waiting submitters are NOT resumed (the
+// fault layer drops their processes separately) and async callbacks
+// never run. The busy-time accounting keeps everything accrued
 // up to the crash instant; a crashed CPU is idle until work arrives after
 // repair.
 func (c *CPU) Crash() {

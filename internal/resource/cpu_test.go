@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
@@ -14,10 +15,8 @@ func TestCPUSingleJobServiceTime(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1) // 1 MIPS = 1000 inst/ms
 	var done sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		c.Use(p, 8000) // 8K instructions -> 8 ms
-		done = s.Now()
-	})
+	simtest.Go(s, useStep(c, 8000), // 8K instructions -> 8 ms
+		simtest.Do(func() { done = s.Now() }))
 	s.Run(100)
 	if !almost(done, 8, 1e-9) {
 		t.Errorf("8K inst at 1 MIPS finished at %v ms, want 8", done)
@@ -28,10 +27,7 @@ func TestCPURateScaling(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 10) // 10 MIPS
 	var done sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		c.Use(p, 8000)
-		done = s.Now()
-	})
+	simtest.Go(s, useStep(c, 8000), simtest.Do(func() { done = s.Now() }))
 	s.Run(100)
 	if !almost(done, 0.8, 1e-9) {
 		t.Errorf("8K inst at 10 MIPS finished at %v ms, want 0.8", done)
@@ -43,8 +39,8 @@ func TestCPUProcessorSharingTwoJobs(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	var d1, d2 sim.Time
-	s.Spawn("a", func(p *sim.Proc) { c.Use(p, 5000); d1 = s.Now() })
-	s.Spawn("b", func(p *sim.Proc) { c.Use(p, 5000); d2 = s.Now() })
+	simtest.Go(s, useStep(c, 5000), simtest.Do(func() { d1 = s.Now() }))
+	simtest.Go(s, useStep(c, 5000), simtest.Do(func() { d2 = s.Now() }))
 	s.Run(100)
 	if !almost(d1, 10, 1e-9) || !almost(d2, 10, 1e-9) {
 		t.Errorf("PS completions at %v and %v, want both 10", d1, d2)
@@ -57,8 +53,8 @@ func TestCPUProcessorSharingUnequalJobs(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	var dShort, dLong sim.Time
-	s.Spawn("short", func(p *sim.Proc) { c.Use(p, 2000); dShort = s.Now() })
-	s.Spawn("long", func(p *sim.Proc) { c.Use(p, 6000); dLong = s.Now() })
+	simtest.Go(s, useStep(c, 2000), simtest.Do(func() { dShort = s.Now() }))
+	simtest.Go(s, useStep(c, 6000), simtest.Do(func() { dLong = s.Now() }))
 	s.Run(100)
 	if !almost(dShort, 4, 1e-9) {
 		t.Errorf("short job at %v, want 4", dShort)
@@ -75,12 +71,8 @@ func TestCPULateArrivalShares(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	var dA, dB sim.Time
-	s.Spawn("a", func(p *sim.Proc) { c.Use(p, 8000); dA = s.Now() })
-	s.Spawn("b", func(p *sim.Proc) {
-		p.Delay(2)
-		c.Use(p, 2000)
-		dB = s.Now()
-	})
+	simtest.Go(s, useStep(c, 8000), simtest.Do(func() { dA = s.Now() }))
+	simtest.Go(s, simtest.Delay(2), useStep(c, 2000), simtest.Do(func() { dB = s.Now() }))
 	s.Run(100)
 	if !almost(dB, 6, 1e-9) {
 		t.Errorf("B at %v, want 6", dB)
@@ -96,7 +88,7 @@ func TestCPUMessagePreemptsPS(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
 	var dJob, dMsg sim.Time
-	s.Spawn("job", func(p *sim.Proc) { c.Use(p, 8000); dJob = s.Now() })
+	simtest.Go(s, useStep(c, 8000), simtest.Do(func() { dJob = s.Now() }))
 	s.Schedule(2, func() {
 		c.UseMsg(1000, func() { dMsg = s.Now() })
 	})
@@ -150,23 +142,28 @@ func TestCPUZeroCostImmediate(t *testing.T) {
 	if !ranPS || !ranMsg {
 		t.Error("zero-cost requests should complete synchronously")
 	}
-	s.Spawn("p", func(p *sim.Proc) {
-		before := s.Now()
-		c.Use(p, 0)
-		if s.Now() != before {
-			t.Error("zero-cost blocking request advanced time")
-		}
-	})
+	var before sim.Time
+	simtest.Go(s,
+		simtest.Do(func() { before = s.Now() }),
+		func(k *sim.Cont) bool {
+			if c.Use(k, 0) {
+				t.Error("zero-cost request made the process wait")
+			}
+			return false
+		},
+		simtest.Do(func() {
+			if s.Now() != before {
+				t.Error("zero-cost blocking request advanced time")
+			}
+		}))
 	s.Run(10)
 }
 
 func TestCPUUtilization(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
-	s.Spawn("p", func(p *sim.Proc) {
-		c.Use(p, 5000) // busy [0,5]
-	})
-	s.Run(10) // idle [5,10]
+	simtest.Go(s, useStep(c, 5000)) // busy [0,5]
+	s.Run(10)                       // idle [5,10]
 	if !almost(c.Utilization(), 0.5, 1e-9) {
 		t.Errorf("utilization %v, want 0.5", c.Utilization())
 	}
@@ -175,11 +172,10 @@ func TestCPUUtilization(t *testing.T) {
 func TestCPUUtilizationAfterMark(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
-	s.Spawn("p", func(p *sim.Proc) {
-		c.Use(p, 4000) // [0,4] busy, should be excluded
-		p.Delay(6)     // marks at 5 below; idle [4,10]
-		c.Use(p, 5000) // busy [10,15]
-	})
+	simtest.Go(s,
+		useStep(c, 4000), // [0,4] busy, should be excluded
+		simtest.Delay(6), // marks at 5 below; idle [4,10]
+		useStep(c, 5000)) // busy [10,15]
 	s.Schedule(5, func() { c.MarkWarmup() })
 	s.Run(20) // window [5,20]: busy 5 of 15
 	if !almost(c.Utilization(), 5.0/15.0, 1e-9) {
@@ -190,10 +186,8 @@ func TestCPUUtilizationAfterMark(t *testing.T) {
 func TestCPUMsgUtilizationSeparate(t *testing.T) {
 	s := sim.New(1)
 	c := NewCPU(s, 1)
-	c.UseMsg(2000, nil) // busy [0,2] on messages
-	s.Spawn("p", func(p *sim.Proc) {
-		c.Use(p, 3000) // stalls during message; PS [2,5]
-	})
+	c.UseMsg(2000, nil)             // busy [0,2] on messages
+	simtest.Go(s, useStep(c, 3000)) // stalls during message; PS [2,5]
 	s.Run(10)
 	if !almost(c.MsgUtilization(), 0.2, 1e-9) {
 		t.Errorf("msg utilization %v, want 0.2", c.MsgUtilization())

@@ -6,12 +6,13 @@ import (
 )
 
 // diskReq is one queued disk access, held by value in the per-disk rings.
-// Completion either resumes proc (blocking Read/Write — no closure) or
-// invokes done (async path — callers pass pre-bound functions).
+// Completion either resumes the waiting process's continuation k (Read,
+// Write — no closure) or invokes done (async path — callers pass
+// pre-bound functions).
 type diskReq struct {
 	write bool
 	done  func()
-	proc  *sim.Proc
+	k     *sim.Cont
 	// svc, when non-nil, receives the drawn service time at completion —
 	// the breakdown accounting's service/queue split seam (ReadMeasured).
 	svc *float64
@@ -157,13 +158,13 @@ func (d *DiskArray) SetTrace(t *obs.Tracer, node int) {
 	d.node = node
 }
 
-// Read performs a synchronous page read, blocking the calling process until
-// the disk completes it.
+// Read performs a synchronous page read for the process whose
+// continuation is k: the process waits, and k is resumed when the disk
+// completes the read.
 //
 //ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
-func (d *DiskArray) Read(p *sim.Proc) {
-	d.submit(diskReq{write: false, proc: p})
-	p.Suspend()
+func (d *DiskArray) Read(k *sim.Cont) {
+	d.submit(diskReq{write: false, k: k})
 }
 
 // ReadMeasured is Read, additionally storing the access's drawn service
@@ -172,9 +173,8 @@ func (d *DiskArray) Read(p *sim.Proc) {
 // randomness, same scheduling — so runs are bit-identical either way.
 //
 //ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
-func (d *DiskArray) ReadMeasured(p *sim.Proc, svc *float64) {
-	d.submit(diskReq{write: false, proc: p, svc: svc})
-	p.Suspend()
+func (d *DiskArray) ReadMeasured(k *sim.Cont, svc *float64) {
+	d.submit(diskReq{write: false, k: k, svc: svc})
 }
 
 // ReadAsync performs a page read and calls done on completion.
@@ -192,13 +192,13 @@ func (d *DiskArray) WriteAsync(done func()) {
 	d.submit(diskReq{write: true, done: done})
 }
 
-// Write performs a synchronous (forced) page write, blocking the calling
-// process until the disk completes it — used for forcing log records.
+// Write performs a synchronous (forced) page write for the process whose
+// continuation is k, resuming k when the disk completes it — used for
+// forcing log records.
 //
 //ddbmlint:hotpath log forces on the commit path
-func (d *DiskArray) Write(p *sim.Proc) {
-	d.submit(diskReq{write: true, proc: p})
-	p.Suspend()
+func (d *DiskArray) Write(k *sim.Cont) {
+	d.submit(diskReq{write: true, k: k})
 }
 
 //ddbmlint:hotpath shared submission path
@@ -259,8 +259,8 @@ func (dk *disk) complete() {
 	if req.svc != nil {
 		*req.svc = dur
 	}
-	if req.proc != nil {
-		req.proc.Resume()
+	if req.k != nil {
+		req.k.Resume()
 	} else if req.done != nil {
 		req.done() //ddbmlint:allow hotpath-alloc completion callbacks are pre-bound by their owners
 	}
@@ -268,7 +268,7 @@ func (dk *disk) complete() {
 }
 
 // Crash discards every queued and in-service request without delivering
-// any completion — the crash-stop failure semantics. Blocked submitters
+// any completion — the crash-stop failure semantics. Waiting submitters
 // are NOT resumed (the fault layer handles their processes) and async
 // callbacks never run. The in-service request's completion event cannot
 // be canceled (serve does not retain it), so the spindle marks it lost

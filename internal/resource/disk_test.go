@@ -4,20 +4,30 @@ import (
 	"testing"
 
 	"ddbm/internal/sim"
+	"ddbm/internal/sim/simtest"
 )
+
+// readStep is a script step performing one synchronous read on d.
+func readStep(d *DiskArray) simtest.Step {
+	return simtest.Wait(func(k *sim.Cont) bool {
+		d.Read(k)
+		return true
+	})
+}
 
 func TestDiskReadServiceTimeBounds(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 10, 30)
 	var times []sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < 50; i++ {
-			start := s.Now()
-			d.Read(p)
-			dur := s.Now() - start
-			times = append(times, dur)
-		}
-	})
+	var start sim.Time
+	var steps []simtest.Step
+	for i := 0; i < 50; i++ {
+		steps = append(steps,
+			simtest.Do(func() { start = s.Now() }),
+			readStep(d),
+			simtest.Do(func() { times = append(times, s.Now()-start) }))
+	}
+	simtest.Go(s, steps...)
 	s.Run(1e6)
 	if len(times) != 50 {
 		t.Fatalf("completed %d reads, want 50", len(times))
@@ -33,10 +43,7 @@ func TestDiskFixedServiceTime(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var done sim.Time
-	s.Spawn("p", func(p *sim.Proc) {
-		d.Read(p)
-		done = s.Now()
-	})
+	simtest.Go(s, readStep(d), simtest.Do(func() { done = s.Now() }))
 	s.Run(100)
 	if done != 20 {
 		t.Errorf("degenerate-uniform access finished at %v, want 20", done)
@@ -214,13 +221,11 @@ func TestDiskValidation(t *testing.T) {
 func TestDiskRandomAssignmentUsesAllSpindles(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 4, 10, 30)
-	var p *sim.Proc
-	p = s.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < 200; i++ {
-			d.Read(p)
-		}
-	})
-	_ = p
+	var steps []simtest.Step
+	for i := 0; i < 200; i++ {
+		steps = append(steps, readStep(d))
+	}
+	simtest.Go(s, steps...)
 	s.Run(1e6)
 	for i, dk := range d.disks {
 		if dk.nReads == 0 {

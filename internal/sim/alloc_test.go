@@ -7,8 +7,8 @@ import (
 
 // These tests pin the kernel's steady-state allocation counts. They are the
 // regression guard for the allocation-free hot path: a change that
-// reintroduces a per-event or per-switch allocation (a closure in
-// Delay/Resume, losing the event free-list, a mailbox that reallocates)
+// reintroduces a per-event or per-resume allocation (a closure per
+// resumption, losing the event free-list, a mailbox that reallocates)
 // fails here before it shows up as a throughput regression.
 
 // TestScheduleFireAllocFree: one schedule→dispatch cycle of a callback
@@ -43,52 +43,61 @@ func TestScheduleCancelAllocFree(t *testing.T) {
 	}
 }
 
-// TestDelayAllocFree: a full process switch (Delay, park, dispatch, resume)
-// uses the process's embedded resume event and allocates nothing.
+// TestDelayAllocFree: a process hold — a continuation scheduled with
+// Delay, then fired — uses the handle's embedded resume event and
+// allocates nothing.
 func TestDelayAllocFree(t *testing.T) {
 	s := New(1)
-	allocs := math.NaN()
-	s.Spawn("p", func(p *Proc) {
-		p.Delay(1)
-		allocs = testing.AllocsPerRun(200, func() { p.Delay(1) })
+	var k Cont
+	k.Init(s, func() {})
+	k.Delay(1)
+	s.Step(math.MaxFloat64)
+	allocs := testing.AllocsPerRun(200, func() {
+		k.Delay(1)
+		s.Step(math.MaxFloat64)
 	})
-	s.Run(math.Inf(1))
 	if allocs != 0 {
-		t.Errorf("Delay allocates %v objects per switch, want 0", allocs)
+		t.Errorf("Delay+fire allocates %v objects per resumption, want 0", allocs)
 	}
 }
 
-// TestSuspendResumeAllocFree: the Suspend/Resume rendezvous — the path
-// mailbox wakeups ride — allocates nothing per cycle.
+// TestSuspendResumeAllocFree: a process that waits with nothing scheduled
+// and is resumed by another event — the path resource completions, lock
+// grants and mailbox wakeups ride — allocates nothing per cycle, and
+// neither does canceling a pending resumption.
 func TestSuspendResumeAllocFree(t *testing.T) {
 	s := New(1)
-	allocs := math.NaN()
-	var sleeper *Proc
-	sleeper = s.Spawn("sleeper", func(p *Proc) {
-		for {
-			p.Suspend()
-		}
+	var sleeper Cont
+	sleeper.Init(s, func() {})
+	wake := sleeper.Resume
+	s.Schedule(s.Now(), wake)
+	s.Step(math.MaxFloat64)
+	s.Step(math.MaxFloat64)
+	allocs := testing.AllocsPerRun(200, func() {
+		s.Schedule(s.Now(), wake)
+		s.Step(math.MaxFloat64) // the waker
+		s.Step(math.MaxFloat64) // the sleeper's step
+		sleeper.Delay(1)
+		sleeper.Cancel()
 	})
-	s.Spawn("driver", func(p *Proc) {
-		sleeper.Resume()
-		p.Delay(1)
-		allocs = testing.AllocsPerRun(200, func() {
-			sleeper.Resume()
-			p.Delay(1)
-		})
-	})
-	s.Run(math.Inf(1))
 	if allocs != 0 {
-		t.Errorf("Resume+Delay cycle allocates %v objects, want 0", allocs)
+		t.Errorf("Resume+Cancel cycle allocates %v objects, want 0", allocs)
 	}
 }
 
 // TestMailboxSteadyStateAllocFree: once the ring is warm, send+receive of
 // an already-boxed message allocates nothing (the old slide-forward slice
-// reallocated every few operations).
+// reallocated every few operations) — including a receive that waits and
+// is resumed by the send.
 func TestMailboxSteadyStateAllocFree(t *testing.T) {
 	s := New(1)
-	m := s.NewMailbox()
+	var m Mailbox
+	var rx Cont
+	rx.Init(s, func() {
+		if _, ok := m.Recv(&rx); !ok {
+			t.Fatal("resumed receiver found no message")
+		}
+	})
 	var msg any = "payload"
 	for i := 0; i < 4; i++ {
 		m.Send(msg)
@@ -103,6 +112,11 @@ func TestMailboxSteadyStateAllocFree(t *testing.T) {
 		if _, ok := m.TryRecv(); !ok {
 			t.Fatal("message lost")
 		}
+		if _, ok := m.Recv(&rx); ok {
+			t.Fatal("empty mailbox delivered")
+		}
+		m.Send(msg)
+		s.Step(math.MaxFloat64)
 	})
 	if allocs != 0 {
 		t.Errorf("mailbox send+recv allocates %v objects per op, want 0", allocs)
@@ -112,8 +126,7 @@ func TestMailboxSteadyStateAllocFree(t *testing.T) {
 // TestMailboxBacklogAllocAmortized: a mailbox that oscillates between empty
 // and a bounded backlog settles into its ring and stops allocating.
 func TestMailboxBacklogAllocAmortized(t *testing.T) {
-	s := New(1)
-	m := s.NewMailbox()
+	var m Mailbox
 	var msg any = 1
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 16; i++ {

@@ -1,26 +1,23 @@
 package sim
 
 // Mailbox is an unbounded FIFO message queue with at most one process
-// blocked on receive. It is the basic inter-process communication primitive
-// (coordinator/cohort signalling, terminal completion notices).
+// waiting to receive. It is the basic inter-process communication
+// primitive (coordinator/cohort signalling). The zero value is an empty
+// mailbox ready for use.
 //
 // Messages live in a power-of-two ring buffer: a busy mailbox in steady
 // state allocates nothing per send/receive, unlike the previous
 // slide-forward slice (`queue = queue[1:]`) that walked its backing array
 // and forced a fresh allocation every few operations.
 type Mailbox struct {
-	sim    *Sim
 	buf    []any // ring storage; len(buf) is zero or a power of two
 	head   int   // index of the oldest message
 	count  int   // messages currently queued
-	waiter *Proc
+	waiter *Cont
 }
 
-// NewMailbox creates a mailbox bound to the simulator.
-func (s *Sim) NewMailbox() *Mailbox { return &Mailbox{sim: s} } //ddbmlint:allow hotpath-alloc one mailbox per pooled attempt state; reused via Reset
-
-// Send enqueues a message and wakes the receiver if one is blocked. It never
-// blocks and may be called from event callbacks as well as processes.
+// Send enqueues a message and resumes the waiting receiver, if any. It
+// never blocks and may be called from any event.
 func (m *Mailbox) Send(msg any) {
 	if m.count == len(m.buf) {
 		m.grow()
@@ -59,20 +56,23 @@ func (m *Mailbox) pop() any {
 	return msg
 }
 
-// Recv returns the next message, blocking the calling process until one is
-// available. Only one process may block on a mailbox at a time.
-func (m *Mailbox) Recv(p *Proc) any {
-	for m.count == 0 {
-		if m.waiter != nil && m.waiter != p {
+// Recv takes the next message. On an empty mailbox it registers k to be
+// resumed by the next Send and reports false: the receiving process
+// returns from its step and calls Recv again when k fires. Only one
+// continuation may wait on a mailbox at a time.
+func (m *Mailbox) Recv(k *Cont) (msg any, ok bool) {
+	if m.count == 0 {
+		if m.waiter != nil && m.waiter != k {
 			panic("sim: multiple receivers on one mailbox")
 		}
-		m.waiter = p
-		p.Suspend()
+		m.waiter = k
+		return nil, false
 	}
-	return m.pop()
+	return m.pop(), true
 }
 
-// TryRecv returns the next message without blocking; ok is false if empty.
+// TryRecv returns the next message without registering a waiter; ok is
+// false if the mailbox is empty.
 func (m *Mailbox) TryRecv() (msg any, ok bool) {
 	if m.count == 0 {
 		return nil, false
@@ -85,11 +85,11 @@ func (m *Mailbox) Len() int { return m.count }
 
 // Reset discards any queued messages and returns the mailbox to its empty
 // state while keeping the ring storage, so a recycled owner starts from a
-// clean queue without reallocating. It must not be called while a process
-// is blocked on Recv.
+// clean queue without reallocating. It must not be called while a
+// receiver waits.
 func (m *Mailbox) Reset() {
 	if m.waiter != nil {
-		panic("sim: Reset with a blocked receiver")
+		panic("sim: Reset with a waiting receiver")
 	}
 	for i := 0; i < m.count; i++ {
 		m.buf[(m.head+i)&(len(m.buf)-1)] = nil

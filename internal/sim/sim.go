@@ -1,24 +1,30 @@
-// Package sim implements a process-oriented discrete-event simulation
-// kernel, the Go substitute for the DeNet simulation language in which the
-// original Carey/Livny simulator was written.
+// Package sim implements a discrete-event simulation kernel, the Go
+// substitute for the DeNet simulation language in which the original
+// Carey/Livny simulator was written.
 //
-// A Sim owns a virtual clock and an event queue. Simulation "processes" are
-// goroutines that run strictly one at a time: the scheduler hands control to
-// a process and blocks until the process either finishes or blocks itself
-// (Delay, Suspend, mailbox receive). Events scheduled for the same instant
-// fire in FIFO order, and all randomness flows through a single seeded
-// source, so every run is fully deterministic.
+// A Sim owns a virtual clock and an event queue. Events fire in total
+// (time, seq) order — FIFO at equal timestamps — and all randomness flows
+// through a single seeded source, so every run is fully deterministic.
+//
+// Simulation processes are explicit state machines. A process that would
+// block in DeNet (a hold, a resource wait, a lock wait, a mailbox receive)
+// records where it stands, schedules or registers its continuation handle
+// (Cont) and returns; the handle's resume event later calls the process's
+// step method, which picks up where it stopped. Everything runs on the
+// caller's goroutine: a resumption costs one event, not a goroutine
+// switch.
 //
 // The kernel hot path is allocation-free in steady state: fired and
 // canceled callback events are recycled through a free-list, and every
-// process embeds its own resume event, so Delay/Resume/SpawnAt and mailbox
-// wakeups neither allocate an Event nor a closure. See DESIGN.md ("Kernel
-// performance") for the invariants this preserves.
+// continuation embeds its own resume event, so resuming a process neither
+// allocates an Event nor a closure. See DESIGN.md ("Kernel performance")
+// for the invariants this preserves.
 package sim
 
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 )
 
 // Time is simulated time in milliseconds.
@@ -35,10 +41,12 @@ type Time = float64
 type Event struct {
 	at       Time
 	seq      uint64
-	fn       func() // callback events; nil for process-resume events
-	proc     *Proc  // process-resume events fire by resuming this process
-	index    int    // heap index, -1 while not queued
+	fn       func()
+	index    int // heap index, -1 while not queued
 	canceled bool
+	// owned marks a continuation's embedded resume event: it belongs to
+	// its Cont and never passes through the free-list.
+	owned bool
 }
 
 // Canceled reports whether Cancel was called on the event.
@@ -56,22 +64,14 @@ type Sim struct {
 	dispatched uint64
 	seed       int64
 	rng        *rand.Rand
-	yield      chan struct{}
-	cur        *Proc
-	procs      map[*Proc]struct{}
-	idle       []*Proc // finished processes parked for goroutine reuse
-	stopped    bool
-	nprocs     uint64 // total processes ever spawned (for naming/debug)
-	failure    any    // panic value escaped from a process body
+	procs      []*Proc // goroutine processes, ended with the run
 }
 
 // New creates a simulator with the given random seed.
 func New(seed int64) *Sim {
 	return &Sim{
-		seed:  seed,
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -127,8 +127,8 @@ func (s *Sim) allocEvent() *Event {
 }
 
 // releaseEvent returns a fired or canceled callback event to the free-list.
-// Process-resume events are embedded in their Proc and never pass through
-// here.
+// Continuation resume events are embedded in their Cont and never pass
+// through here.
 func (s *Sim) releaseEvent(e *Event) {
 	e.fn = nil
 	s.free = append(s.free, e) //ddbmlint:allow hotpath-alloc event free-list push; capacity reaches the in-flight high-water mark
@@ -165,19 +165,6 @@ func (s *Sim) After(d Time, fn func()) *Event {
 	return s.Schedule(s.now+d, fn)
 }
 
-// scheduleProc queues p's embedded resume event: the closure- and
-// allocation-free path behind Delay, Resume, SpawnAt and mailbox wakeups.
-// A process blocks in at most one place, so one embedded event suffices;
-// scheduling it twice is a kernel-usage bug and panics loudly instead of
-// corrupting the queue.
-func (s *Sim) scheduleProc(at Time, p *Proc) {
-	if p.ev.index >= 0 {
-		panic(fmt.Sprintf("sim: process %q already has a pending resume", p.name)) //ddbmlint:allow hotpath-alloc kernel-bug panic path; the run is already dead
-	}
-	p.ev.canceled = false
-	s.enqueue(&p.ev, at)
-}
-
 // Cancel removes a pending event. Canceling an already-fired or
 // already-canceled event is a no-op (but see the recycling contract on
 // Event: a dead handle must be dropped promptly).
@@ -190,29 +177,27 @@ func (s *Sim) Cancel(e *Event) {
 	}
 	e.canceled = true
 	s.events.remove(e.index)
-	if e.proc == nil {
+	if !e.owned {
 		s.releaseEvent(e)
 	}
 }
 
-// fire dispatches one popped event: callback events are recycled before
-// their function runs (so a fn that schedules reuses the same struct),
-// resume events hand control to their process.
+// fire dispatches one popped event. Callback events are recycled before
+// their function runs, so a callback that schedules reuses the same
+// struct; a continuation's event stays with its Cont.
 func (s *Sim) fire(e *Event) {
 	s.now = e.at
 	s.dispatched++
-	if p := e.proc; p != nil {
-		s.resume(p)
-		return
-	}
 	fn := e.fn
-	s.releaseEvent(e)
+	if !e.owned {
+		s.releaseEvent(e)
+	}
 	fn()
 }
 
 // Run executes events until the clock reaches end (exclusive) or the event
-// queue drains, then terminates all live processes. It returns the final
-// simulated time.
+// queue drains, then ends every process still waiting (endProcesses), and
+// returns the final simulated time.
 func (s *Sim) Run(end Time) Time {
 	for s.events.len() > 0 {
 		e := s.events.min()
@@ -228,8 +213,32 @@ func (s *Sim) Run(end Time) Time {
 	if s.now < end {
 		s.now = end
 	}
-	s.Shutdown()
+	s.endProcesses()
 	return s.now
+}
+
+// endProcesses ends every process still waiting when Run returns: pending
+// continuation resumptions leave the queue and goroutine processes are
+// dismissed, so nothing a process holds outlives the run. Callback events
+// stay queued.
+func (s *Sim) endProcesses() {
+	var pending []*Event
+	for _, e := range s.events.items {
+		if e.owned {
+			pending = append(pending, e)
+		}
+	}
+	for _, e := range pending {
+		s.Cancel(e)
+	}
+	for i, p := range s.procs {
+		if !p.done {
+			p.wake <- false
+			<-p.yield
+		}
+		s.procs[i] = nil
+	}
+	s.procs = s.procs[:0]
 }
 
 // Step executes the single next event if one exists before end; it reports
@@ -250,213 +259,112 @@ func (s *Sim) Step(end Time) bool {
 	return false
 }
 
-// Shutdown kills every live process so their goroutines exit. It is called
-// automatically at the end of Run and is idempotent.
-func (s *Sim) Shutdown() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	//ddbmlint:ordered the clock is stopped and no further events fire; each kill only unwinds its own parked goroutine, so kill order is unobservable
-	for p := range s.procs {
-		if p.parked {
-			p.kill()
-		}
-	}
-	// Killed and finished bodies recycle their goroutines into the idle
-	// pool; dismiss them too so no goroutine outlives the simulation.
-	for i, p := range s.idle {
-		s.idle[i] = nil
-		p.wake <- wakeSignal{kill: true}
-		<-s.yield
-	}
-	s.idle = s.idle[:0]
-}
-
-// LiveProcs returns the number of processes that have started but not yet
-// finished. After Shutdown it reports the processes that leaked (should be 0).
-func (s *Sim) LiveProcs() int { return len(s.procs) }
-
-// Kill terminates a live process mid-run — the crash-stop primitive. The
-// victim unwinds via the kill sentinel exactly as at Shutdown, and its
-// goroutine parks in the idle pool for reuse by a later Spawn. A pending
-// resume (Delay, SpawnAt) is canceled first so the embedded event never
-// fires for the dead process. Killing a finished process is a no-op;
-// killing the currently running process is a kernel-usage bug.
-func (s *Sim) Kill(p *Proc) {
-	if p == nil || p.done {
-		return
-	}
-	if p == s.cur {
-		panic(fmt.Sprintf("sim: process %q cannot kill itself", p.name))
-	}
-	if p.ev.index >= 0 {
-		s.Cancel(&p.ev)
-	}
-	p.kill()
-}
-
-// killed is the sentinel panic value used to unwind terminated processes.
-type killed struct{}
-
-type wakeSignal struct {
-	kill bool
-}
-
-// Proc is a simulation process: a goroutine interleaved with the scheduler
-// so that exactly one process runs at any moment. Finished processes park
-// their goroutine in the simulator's idle pool and are reused by later
-// Spawn calls, so steady-state process churn (one cohort process per
-// transaction cohort) allocates neither a Proc, a channel, nor a goroutine
-// stack.
-type Proc struct {
-	sim    *Sim
-	name   string
-	wake   chan wakeSignal
-	parked bool // true while blocked waiting for a wake signal
-	done   bool
-	fn     func(p *Proc) // body to run at the next start wake
-	// ev is the process's resume event, reused for every Delay/Resume/start
-	// so process switching never allocates. A process is blocked in at most
-	// one place at a time, so a single embedded event is always enough.
-	ev Event
-}
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Sim { return p.sim }
-
-// Spawn creates a process that starts running at the current simulated time
-// (after the current event completes).
-func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	return s.SpawnAt(s.now, name, fn)
-}
-
-// SpawnAt creates a process that starts running at time at. A goroutine
-// from the idle pool is reused when one is available; only the pool-growth
-// path allocates.
+// Cont is a continuation handle: the resumption point of one simulation
+// process written as a state machine. It pairs an embedded resume event
+// with a step function its owner binds once (a method value on a pooled
+// record), so scheduling a resumption allocates nothing. A process waits
+// in at most one place at a time, so one embedded event suffices;
+// scheduling the handle again while it is pending is a kernel-usage bug
+// and panics.
 //
-//ddbmlint:hotpath steady-state cohort spawn pinned by TestTxnPathAllocFree
-func (s *Sim) SpawnAt(at Time, name string, fn func(p *Proc)) *Proc {
-	s.nprocs++
-	if n := len(s.idle); n > 0 {
-		p := s.idle[n-1]
-		s.idle[n-1] = nil
-		s.idle = s.idle[:n-1]
-		p.name, p.fn, p.done = name, fn, false
-		s.procs[p] = struct{}{}
-		s.scheduleProc(at, p)
-		return p
-	}
-	p := &Proc{sim: s, name: name, wake: make(chan wakeSignal), fn: fn} //ddbmlint:allow hotpath-alloc pool growth: one Proc + channel + goroutine per high-water concurrent process
-	p.ev.proc = p
-	p.ev.index = -1
-	s.procs[p] = struct{}{}
-	p.parked = true
-	go p.top() //ddbmlint:allow hotpath-alloc pool growth: goroutine spawned once per high-water concurrent process
-	s.scheduleProc(at, p)
-	return p
+// Each point where a goroutine process used to block maps to one use of
+// the handle at the same place in the call sequence: Delay(d) schedules
+// the step at now+d, Resume schedules it at now (a process start, or a
+// wake-up by a resource, lock or mailbox), and a wait that is already
+// satisfied continues inline without an event. The (time, seq) order of
+// every event is therefore the one the goroutine kernel produced.
+type Cont struct {
+	ev  Event
+	sim *Sim
 }
 
-// top is a process goroutine's outer loop: run one body per start wake,
-// then park the goroutine in the simulator's idle pool for the next Spawn.
-// A kill wake dismisses the goroutine for good (used for processes parked
-// mid-body at Shutdown, and for idle-pool draining).
-func (p *Proc) top() {
-	s := p.sim
-	for {
-		sig := <-p.wake
-		p.parked = false
-		if sig.kill {
-			p.done = true
-			delete(s.procs, p)
-			s.yield <- struct{}{}
-			return
-		}
-		p.runBody()
-		p.done = true
-		delete(s.procs, p)
-		p.fn = nil
-		p.parked = true
-		s.idle = append(s.idle, p) //ddbmlint:allow hotpath-alloc idle pool push; capacity reaches the concurrent-process high-water mark
-		s.yield <- struct{}{}
-	}
+// Init binds the handle to a simulator and to the step it runs each time
+// it fires. Bind once per pooled owner; rebinding a pending handle is a
+// usage bug.
+func (k *Cont) Init(s *Sim, step func()) {
+	k.sim = s
+	k.ev = Event{fn: step, index: -1, owned: true}
 }
 
-// runBody executes the process body, converting the kill sentinel back
-// into a normal return and handing real panics to the scheduler so they
-// surface in the Run caller.
-func (p *Proc) runBody() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killed); !ok {
-				p.sim.failure = r
-			}
-		}
-	}()
-	p.fn(p) //ddbmlint:allow hotpath-alloc process body dispatch; bodies are pre-bound by their owners and carry their own pins
-}
+// Sim returns the simulator the handle is bound to.
+func (k *Cont) Sim() *Sim { return k.sim }
 
-// resume hands control to p and waits for it to block or finish.
-func (s *Sim) resume(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := s.cur
-	s.cur = p
-	p.wake <- wakeSignal{}
-	<-s.yield
-	s.cur = prev
-	if s.failure != nil {
-		f := s.failure
-		s.failure = nil
-		panic(f)
-	}
-}
+// Resume schedules the step at the current simulated time, behind every
+// event already queued for this instant.
+func (k *Cont) Resume() { k.schedule(k.sim.now) }
 
-// kill unwinds a parked process.
-func (p *Proc) kill() {
-	if p.done {
-		return
-	}
-	p.wake <- wakeSignal{kill: true}
-	<-p.sim.yield
-}
-
-// block parks the calling process until the scheduler wakes it.
-func (p *Proc) block() {
-	p.parked = true
-	p.sim.yield <- struct{}{}
-	sig := <-p.wake
-	p.parked = false
-	if sig.kill {
-		panic(killed{}) //ddbmlint:allow hotpath-alloc shutdown-only kill sentinel
-	}
-}
-
-// Delay suspends the process for d milliseconds of simulated time. Even a
-// zero delay yields through the event queue so that same-time events retain
-// FIFO fairness.
-func (p *Proc) Delay(d Time) {
+// Delay schedules the step d milliseconds from now. Even a zero delay goes
+// through the event queue, so same-time events keep their FIFO order.
+func (k *Cont) Delay(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.sim.scheduleProc(p.sim.now+d, p)
-	p.block()
+	k.schedule(k.sim.now + d)
 }
 
-// Suspend parks the process until another process or event calls Resume.
-func (p *Proc) Suspend() {
-	p.block()
+func (k *Cont) schedule(at Time) {
+	if k.ev.index >= 0 {
+		panic("sim: continuation already has a pending resume")
+	}
+	k.ev.canceled = false
+	k.sim.enqueue(&k.ev, at)
 }
 
-// Resume schedules p to continue at the current simulated time. It must only
-// be called for a process parked in Suspend (or a mailbox receive).
-func (p *Proc) Resume() {
-	p.sim.scheduleProc(p.sim.now, p)
+// Cancel withdraws a pending resumption, so the step does not run — the
+// crash-stop of a process. A handle with nothing pending is left alone.
+func (k *Cont) Cancel() { k.sim.Cancel(&k.ev) }
+
+// Pending reports whether a resumption is scheduled.
+func (k *Cont) Pending() bool { return k.ev.index >= 0 }
+
+// Proc is a goroutine-backed process, the kernel's former execution
+// model: its body runs on a goroutine of its own and blocks in Delay
+// while the scheduler waits, so every resumption costs two goroutine
+// switches. The simulator itself runs no Procs. The type remains so that
+// the cost of one goroutine switch can be timed against one callback
+// event; the no-naked-goroutine lint check keeps Spawn inside this
+// package.
+type Proc struct {
+	k     Cont
+	wake  chan bool     // scheduler → process: true runs on, false ends it
+	yield chan struct{} // process → scheduler: blocked or finished
+	done  bool
 }
 
-// Hold is an alias for Delay matching DeNet terminology.
-func (p *Proc) Hold(d Time) { p.Delay(d) }
+// Spawn starts fn as a goroutine process at the current simulated time
+// (after the current event completes). The name only labels the call
+// site. A process still blocked when Run ends is dismissed: its
+// goroutine exits, running deferred calls.
+func (s *Sim) Spawn(_ string, fn func(p *Proc)) {
+	p := &Proc{wake: make(chan bool), yield: make(chan struct{})}
+	p.k.Init(s, p.switchTo)
+	s.procs = append(s.procs, p)
+	go p.run(fn)
+	p.k.Resume()
+}
+
+func (p *Proc) run(fn func(p *Proc)) {
+	defer func() {
+		p.done = true
+		p.yield <- struct{}{}
+	}()
+	if <-p.wake {
+		fn(p)
+	}
+}
+
+// switchTo hands control to the process and waits until it blocks again
+// or finishes.
+func (p *Proc) switchTo() {
+	p.wake <- true
+	<-p.yield
+}
+
+// Delay blocks the process for d milliseconds of simulated time.
+func (p *Proc) Delay(d Time) {
+	p.k.Delay(d)
+	p.yield <- struct{}{}
+	if !<-p.wake {
+		runtime.Goexit()
+	}
+}

@@ -1,11 +1,27 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+// settledGoroutines waits up to a second for the goroutine count to fall
+// to want: a dismissed process has handed control back but may not have
+// exited yet.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > want && time.Now().Before(deadline); {
+		runtime.Gosched()
+		time.Sleep(100 * time.Microsecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
 
 func TestScheduleRunsInTimeOrder(t *testing.T) {
 	s := New(1)
@@ -153,6 +169,7 @@ func TestStep(t *testing.T) {
 }
 
 func TestProcDelay(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(1)
 	var times []Time
 	s.Spawn("p", func(p *Proc) {
@@ -169,36 +186,30 @@ func TestProcDelay(t *testing.T) {
 			t.Fatalf("delay times %v, want %v", times, want)
 		}
 	}
-	if s.LiveProcs() != 0 {
-		t.Errorf("leaked %d processes", s.LiveProcs())
+	if n := settledGoroutines(before); n > before {
+		t.Errorf("%d goroutines after the run, %d before", n, before)
 	}
 }
 
+// TestProcSuspendResume: a process that waits with nothing scheduled (a
+// lock or resource wait) continues at the instant another event resumes
+// its continuation, picking up its own state.
 func TestProcSuspendResume(t *testing.T) {
 	s := New(1)
 	var resumedAt Time
-	var p1 *Proc
-	p1 = s.Spawn("sleeper", func(p *Proc) {
-		p.Suspend()
-		resumedAt = s.Now()
+	var sleeper Cont
+	steps := 0
+	sleeper.Init(s, func() {
+		steps++
+		if steps == 2 {
+			resumedAt = s.Now()
+		}
 	})
-	s.Spawn("waker", func(p *Proc) {
-		p.Delay(30)
-		p1.Resume()
-	})
+	sleeper.Resume() // start; the first step waits without scheduling
+	s.Schedule(30, sleeper.Resume)
 	s.Run(100)
-	if resumedAt != 30 {
-		t.Errorf("resumed at %v, want 30", resumedAt)
-	}
-}
-
-func TestSpawnAt(t *testing.T) {
-	s := New(1)
-	var started Time
-	s.SpawnAt(25, "late", func(p *Proc) { started = s.Now() })
-	s.Run(100)
-	if started != 25 {
-		t.Errorf("started at %v, want 25", started)
+	if resumedAt != 30 || steps != 2 {
+		t.Errorf("resumed at %v after %d steps, want 30 after 2", resumedAt, steps)
 	}
 }
 
@@ -229,29 +240,28 @@ func TestProcsRunOneAtATime(t *testing.T) {
 }
 
 func TestShutdownKillsBlockedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(1)
 	cleanedUp := false
 	s.Spawn("stuck", func(p *Proc) {
 		defer func() {
-			// The kill panic must still unwind deferred functions of the
-			// process body before being recovered by the kernel.
+			// Dismissal must still run the deferred functions of the
+			// process body.
 			cleanedUp = true
-			if r := recover(); r != nil {
-				panic(r) // pass the kill sentinel through
-			}
 		}()
-		p.Suspend() // never resumed
+		p.Delay(100) // still blocked when the run ends
 	})
 	s.Run(10)
-	if s.LiveProcs() != 0 {
-		t.Fatalf("leaked %d processes after Run", s.LiveProcs())
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 	if !cleanedUp {
-		t.Error("deferred cleanup did not run on kill")
+		t.Error("deferred cleanup did not run on dismissal")
 	}
 }
 
 func TestShutdownKillsDelayedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(1)
 	s.Spawn("napper", func(p *Proc) {
 		for {
@@ -259,11 +269,13 @@ func TestShutdownKillsDelayedProcs(t *testing.T) {
 		}
 	})
 	s.Run(50)
-	if s.LiveProcs() != 0 {
-		t.Fatalf("leaked %d processes", s.LiveProcs())
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines after Run, %d before", n, before)
 	}
 }
 
+// TestProcPanicPropagates: a panic in a process step surfaces in the Run
+// caller.
 func TestProcPanicPropagates(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -271,7 +283,9 @@ func TestProcPanicPropagates(t *testing.T) {
 		}
 	}()
 	s := New(1)
-	s.Spawn("bad", func(p *Proc) { panic("boom") })
+	var k Cont
+	k.Init(s, func() { panic("boom") })
+	k.Resume()
 	s.Run(10)
 }
 
@@ -352,6 +366,7 @@ func TestEventOrderProperty(t *testing.T) {
 }
 
 func TestManyProcsNoLeak(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(1)
 	n := 0
 	for i := 0; i < 500; i++ {
@@ -364,8 +379,8 @@ func TestManyProcsNoLeak(t *testing.T) {
 	if n != 500 {
 		t.Errorf("only %d of 500 processes completed", n)
 	}
-	if s.LiveProcs() != 0 {
-		t.Errorf("leaked %d processes", s.LiveProcs())
+	if g := settledGoroutines(before); g > before {
+		t.Errorf("%d goroutines after the run, %d before", g, before)
 	}
 }
 
@@ -520,43 +535,114 @@ func TestEventAccessors(t *testing.T) {
 	}
 }
 
-func TestHoldAlias(t *testing.T) {
+// TestContInterleavesWithCallbacks: a continuation's resume event is an
+// ordinary event — at one instant it fires in (time, seq) order among the
+// callback events, wherever its scheduling call fell in the call
+// sequence.
+func TestContInterleavesWithCallbacks(t *testing.T) {
 	s := New(1)
-	var at Time
-	s.Spawn("p", func(p *Proc) {
-		p.Hold(7)
-		at = s.Now()
+	var got []string
+	var k Cont
+	k.Init(s, func() { got = append(got, "k") })
+	k.Delay(10) // due at 10, scheduled before both callbacks
+	s.Schedule(10, func() { got = append(got, "c") })
+	s.Schedule(10, func() {
+		s.After(0, func() { got = append(got, "a") })
+		k.Resume()
+		s.After(0, func() { got = append(got, "b") })
 	})
 	s.Run(100)
-	if at != 7 {
-		t.Errorf("Hold resumed at %v, want 7", at)
+	want := []string{"k", "c", "a", "k", "b"}
+	if len(got) != len(want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("fired %v, want %v", got, want)
+		}
 	}
 }
 
-func TestSpawnAtPastPanics(t *testing.T) {
+// TestContDoubleSchedulePanics: a process waits in one place at a time,
+// so scheduling its continuation while a resumption is pending is a
+// kernel-usage bug.
+func TestContDoubleSchedulePanics(t *testing.T) {
 	s := New(1)
-	s.Schedule(50, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("SpawnAt in the past did not panic")
-			}
-		}()
-		s.SpawnAt(10, "late", func(p *Proc) {})
-	})
-	s.Run(100)
+	var k Cont
+	k.Init(s, func() {})
+	k.Delay(5)
+	if !k.Pending() {
+		t.Fatal("scheduled continuation not pending")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("second schedule of a pending continuation did not panic")
+		}
+	}()
+	k.Resume()
 }
 
-func TestProcNameAndSim(t *testing.T) {
+// TestContCancelSuppressesStep: canceling a pending continuation (the
+// crash-stop of a process) keeps its step from running, and the handle
+// can be scheduled again afterwards.
+func TestContCancelSuppressesStep(t *testing.T) {
 	s := New(1)
-	var p0 *Proc
-	p0 = s.Spawn("worker", func(p *Proc) {
-		if p.Name() != "worker" {
-			t.Errorf("name %q", p.Name())
-		}
-		if p.Sim() != s {
-			t.Error("Sim() mismatch")
-		}
-	})
-	_ = p0
+	var k Cont
+	var ran []Time
+	k.Init(s, func() { ran = append(ran, s.Now()) })
+	k.Delay(5)
+	s.Schedule(2, k.Cancel)
+	for s.Step(10) {
+	}
+	if len(ran) != 0 || k.Pending() {
+		t.Fatalf("canceled step ran at %v (pending %v)", ran, k.Pending())
+	}
+	if s.EventsDispatched() != 1 {
+		t.Errorf("%d events dispatched, want 1 (the cancel)", s.EventsDispatched())
+	}
+	k.Cancel() // nothing pending: a no-op
+	k.Delay(3)
+	for s.Step(10) {
+	}
+	if len(ran) != 1 || ran[0] != 5 {
+		t.Errorf("rescheduled step ran at %v, want [5]", ran)
+	}
+}
+
+// TestRunEndsProcesses: a process still waiting when Run returns ends
+// with the run, as a goroutine process is dismissed, so nothing it holds
+// outlives the run; callback events stay queued.
+func TestRunEndsProcesses(t *testing.T) {
+	s := New(1)
+	var k Cont
+	ran := false
+	k.Init(s, func() { ran = true })
+	k.Delay(50)
+	fired := false
+	s.Schedule(60, func() { fired = true })
 	s.Run(10)
+	if k.Pending() {
+		t.Fatal("continuation still pending after Run")
+	}
+	s.Run(100)
+	if ran {
+		t.Error("a process ended by Run resumed in a later Run")
+	}
+	if !fired {
+		t.Error("a callback event queued across Runs never fired")
+	}
+}
+
+// TestContDelayClampsNegative: a continuation delay clamps at zero, so a
+// resumption can never be scheduled in the past.
+func TestContDelayClampsNegative(t *testing.T) {
+	s := New(1)
+	var at Time = -1
+	var k Cont
+	k.Init(s, func() { at = s.Now() })
+	s.Schedule(7, func() { k.Delay(-3) })
+	s.Run(math.Inf(1))
+	if at != 7 {
+		t.Errorf("negative delay resumed at %v, want 7", at)
+	}
 }
