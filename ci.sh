@@ -27,18 +27,22 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== ddbmlint (determinism invariants)"
-# The full check suite: the per-file checks plus the interprocedural ones —
-# taint-wall-clock and taint-rand (exempt-scope helpers that transitively
-# read the host clock or the global rand source are findings at the
-# boundary call into simulation scope) and hotpath-alloc (//ddbmlint:hotpath
-# functions must be statically allocation-free, transitively).
+# The full check suite over the whole module: the five per-file checks
+# (no-wall-clock, no-global-rand, map-order, no-naked-goroutine,
+# no-reflect-sort) plus the three interprocedural ones — taint-wall-clock
+# and taint-rand (exempt-scope helpers that transitively read the host
+# clock or the global rand source are findings at the boundary call into
+# simulation scope) and hotpath-alloc (//ddbmlint:hotpath functions must be
+# statically allocation-free, transitively; this is the static half of the
+# transaction-path allocation pin below).
 go run ./cmd/ddbmlint ./...
 
 echo "== ddbmlint fixture harness"
 # The // want-comment fixtures under testdata/lint and testdata/interp pin
-# every check's exact finding set, including both taint checks and
-# hotpath-alloc, plus the output-determinism guarantee and the CLI's -json
-# round-trip.
+# the exact finding set of all eight checks — the five per-file checks
+# under testdata/lint, both taint checks and hotpath-alloc under
+# testdata/interp — plus the output-determinism guarantee and the CLI's
+# -json round-trip.
 go test -run 'TestFixtures|TestInterprocFixtures|TestLintDeterminism|TestLoaderFailures' ./internal/lint/
 go test -run 'TestRunJSONRoundTrip|TestRunExitCodes' ./cmd/ddbmlint/
 
@@ -68,10 +72,9 @@ go test -run 'TestSteadyStateAllocFree' \
 echo "== transaction-path allocation pin"
 # The end-to-end transaction path (terminals, plans, attempts, envelopes,
 # commit fan-out, locks, CPU/disk queues, metrics) must stay allocation-free
-# in steady state across every commit-protocol variant, and the packages it
-# spans must keep their hot paths statically auditable by ddbmlint.
+# in steady state across every commit-protocol variant; the whole-module
+# ddbmlint run above audits the same packages' hot paths statically.
 go test -run 'TestTxnPathAllocFree' -count=1 ./internal/core/
-go run ./cmd/ddbmlint ./internal/core/ ./internal/commit/ ./internal/network/ ./internal/workload/
 
 echo "== commit-protocol sweep smoke"
 # All three 2PC variants end-to-end at a tiny time scale: a wedged protocol

@@ -184,7 +184,7 @@ type TxnMeta struct {
 	// OnAbort tells the transaction manager an abort is required; fromNode
 	// is the node where the decision was made (the notification travels
 	// from there to the coordinator). Installed by the transaction manager.
-	OnAbort func(fromNode int, reason string)
+	OnAbort func(fromNode int)
 
 	// detGen/detRank are the deadlock detectors' scratch slot on the
 	// transaction: its rank (graph array index) in the waits-for graph
@@ -215,7 +215,7 @@ func (t *TxnMeta) RequestAbort(fromNode int, reason string, cause Cause) bool {
 	t.AbortReason = reason
 	t.NoteCause(fromNode, cause)
 	if t.OnAbort != nil {
-		t.OnAbort(fromNode, reason) //ddbmlint:allow hotpath-alloc pre-bound abort observer; installed once per pooled attempt and audited by the core alloc pins
+		t.OnAbort(fromNode) //ddbmlint:allow hotpath-alloc pre-bound abort observer; installed once per pooled attempt and audited by the core alloc pins
 	}
 	return true
 }

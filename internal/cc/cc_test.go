@@ -82,7 +82,7 @@ func TestKindsOrder(t *testing.T) {
 func TestRequestAbortIdempotent(t *testing.T) {
 	calls := 0
 	m := &TxnMeta{ID: 1, TS: 1}
-	m.OnAbort = func(fromNode int, reason string) { calls++ }
+	m.OnAbort = func(fromNode int) { calls++ }
 	if !m.RequestAbort(3, "first", CauseWound) {
 		t.Error("first abort request refused")
 	}
@@ -115,7 +115,7 @@ func TestNoteCauseFirstWins(t *testing.T) {
 func TestRequestAbortRefusedAfterCommitDecision(t *testing.T) {
 	m := &TxnMeta{ID: 1, TS: 1, State: Committing}
 	called := false
-	m.OnAbort = func(int, string) { called = true }
+	m.OnAbort = func(int) { called = true }
 	if m.RequestAbort(0, "wound", CauseWound) {
 		t.Error("wound in commit phase two must be refused (not fatal)")
 	}

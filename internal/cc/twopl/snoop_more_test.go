@@ -27,7 +27,7 @@ func buildThreeNodeCycle(t *testing.T, s *sim.Sim, alg *Algorithm) (mgrs []cc.Ma
 		wantAt := (i + 1) % 3
 		coHold := &cc.CohortMeta{Txn: txn, Node: holdAt}
 		coWant := &cc.CohortMeta{Txn: txn, Node: wantAt}
-		txn.OnAbort = func(int, string) {
+		txn.OnAbort = func(int) {
 			// Coordinator surrogate: deliver aborts everywhere.
 			s.After(1, func() {
 				for n, m := range mgrs {

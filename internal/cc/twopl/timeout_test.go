@@ -20,7 +20,7 @@ func TestTimeoutBreaksDeadlock(t *testing.T) {
 	b := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	for _, co := range []*cc.CohortMeta{a, b} {
 		co := co
-		co.Txn.OnAbort = func(int, string) {
+		co.Txn.OnAbort = func(int) {
 			s.After(1, func() { m.Abort(co) })
 		}
 	}
@@ -59,7 +59,7 @@ func TestTimeoutNotFiredOnShortWait(t *testing.T) {
 	m := NewWithTimeout(1000).NewManager(cc.Env{Sim: s, Node: 0}).(*manager)
 	holder := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	waiter := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
-	waiter.Txn.OnAbort = func(int, string) { t.Error("short wait aborted") }
+	waiter.Txn.OnAbort = func(int) { t.Error("short wait aborted") }
 	var out cc.Outcome
 	simtest.Go(s,
 		cctest.Access(m, holder, pg(1), true, nil),
@@ -120,7 +120,7 @@ func TestPrepareDeferredDeadlockVictimVotesNo(t *testing.T) {
 	young := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	for _, co := range []*cc.CohortMeta{old, young} {
 		co := co
-		co.Txn.OnAbort = func(int, string) {
+		co.Txn.OnAbort = func(int) {
 			s.After(1, func() { m.Abort(co) })
 		}
 	}
@@ -172,7 +172,7 @@ func TestStaleTimerDoesNotAbortLaterWait(t *testing.T) {
 	h1 := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	h2 := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
 	w := &cc.CohortMeta{Txn: newTxn(3), Node: 0}
-	w.Txn.OnAbort = func(int, string) { t.Error("stale timer aborted a healthy wait") }
+	w.Txn.OnAbort = func(int) { t.Error("stale timer aborted a healthy wait") }
 	simtest.Go(s,
 		cctest.Access(m, h1, pg(1), true, nil),
 		simtest.Delay(50),
@@ -216,7 +216,7 @@ func TestPrepareDeferredUpgradesHeldReadLock(t *testing.T) {
 	}
 	co := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	other := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
-	other.Txn.OnAbort = func(int, string) { s.After(1, func() { m.Abort(other) }) }
+	other.Txn.OnAbort = func(int) { s.After(1, func() { m.Abort(other) }) }
 	var vote bool
 	var reads [2]cc.Outcome
 	simtest.Go(s,

@@ -80,7 +80,7 @@ func TestLocalDeadlockVictimIsYoungest(t *testing.T) {
 	var abortedTxn int64
 	abortedNode := -1
 	for _, co := range []*cc.CohortMeta{old, young} {
-		co.Txn.OnAbort = func(fromNode int, reason string) {
+		co.Txn.OnAbort = func(fromNode int) {
 			abortedTxn = 0
 			if co == old {
 				abortedTxn = 1
@@ -210,10 +210,10 @@ func TestSnoopResolvesGlobalDeadlock(t *testing.T) {
 	for id, cos := range map[int64][]*cc.CohortMeta{1: {t1c0, t1c1}, 2: {t2c0, t2c1}} {
 		id := id
 		cos := cos
-		cos[0].Txn.OnAbort = func(fromNode int, reason string) {
+		cos[0].Txn.OnAbort = func(fromNode int) {
 			victim = id
-			if reason != "global deadlock" {
-				t.Errorf("abort reason %q", reason)
+			if r := cos[0].Txn.AbortReason; r != "global deadlock" {
+				t.Errorf("abort reason %q", r)
 			}
 			m0.Abort(cos[0])
 			m1.Abort(cos[1])

@@ -34,10 +34,10 @@ func TestOlderWoundsYounger(t *testing.T) {
 	young := &cc.CohortMeta{Txn: newTxn(5), Node: 0}
 	old := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	wounded := false
-	young.Txn.OnAbort = func(fromNode int, reason string) {
+	young.Txn.OnAbort = func(fromNode int) {
 		wounded = true
-		if reason != "wounded" {
-			t.Errorf("reason %q", reason)
+		if r := young.Txn.AbortReason; r != "wounded" {
+			t.Errorf("reason %q", r)
 		}
 		mi.Abort(young) // coordinator delivers the abort
 	}
@@ -69,7 +69,7 @@ func TestYoungerWaitsForOlder(t *testing.T) {
 	old := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	young := &cc.CohortMeta{Txn: newTxn(5), Node: 0}
 	aborted := false
-	old.Txn.OnAbort = func(int, string) { aborted = true }
+	old.Txn.OnAbort = func(int) { aborted = true }
 	var youngOut cc.Outcome
 	var youngAt sim.Time
 	simtest.Go(s,
@@ -100,7 +100,7 @@ func TestWoundIgnoredInSecondPhase(t *testing.T) {
 	mi := New().NewManager(cc.Env{Sim: s, Node: 0})
 	young := &cc.CohortMeta{Txn: newTxn(5), Node: 0}
 	old := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
-	young.Txn.OnAbort = func(int, string) {
+	young.Txn.OnAbort = func(int) {
 		t.Error("wound delivered to committing transaction")
 	}
 	var oldAt sim.Time
@@ -133,7 +133,7 @@ func TestSharedReadsNoWounds(t *testing.T) {
 	n := 0
 	for i := 0; i < 4; i++ {
 		co := &cc.CohortMeta{Txn: newTxn(int64(i + 1)), Node: 0}
-		co.Txn.OnAbort = func(int, string) { t.Error("read sharing caused a wound") }
+		co.Txn.OnAbort = func(int) { t.Error("read sharing caused a wound") }
 		var out cc.Outcome
 		simtest.Go(s, cctest.Access(mi, co, pg(1), false, &out), simtest.Do(func() {
 			if out == cc.Granted {
@@ -154,7 +154,7 @@ func TestUpgradeWoundsYoungerReader(t *testing.T) {
 	mi := New().NewManager(cc.Env{Sim: s, Node: 0})
 	old := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
 	young := &cc.CohortMeta{Txn: newTxn(9), Node: 0}
-	young.Txn.OnAbort = func(int, string) { mi.Abort(young) }
+	young.Txn.OnAbort = func(int) { mi.Abort(young) }
 	var upOut cc.Outcome
 	simtest.Go(s,
 		cctest.Access(mi, old, pg(1), false, nil),
@@ -181,7 +181,7 @@ func TestNoDeadlockEverProperty(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		id := int64(i + 1)
 		co := &cc.CohortMeta{Txn: newTxn(id), Node: 0}
-		co.Txn.OnAbort = func(int, string) {
+		co.Txn.OnAbort = func(int) {
 			s.After(float64(r.Intn(3)), func() { mi.Abort(co) })
 		}
 		w := &randomWorker{t: t, m: m, co: co, r: r}

@@ -169,7 +169,7 @@ type Txn struct {
 	// handlers can reach the environment and variant flags without any
 	// per-message closure.
 	env          Env
-	tp           *twoPC
+	tp           *Protocol
 	shortCircuit bool
 
 	// The coordinator's place in a Commit or Abort run that is waiting
@@ -291,35 +291,15 @@ const (
 	Aborted
 )
 
-// Protocol is one two-phase commit variant: the coordinator-side state
-// machine driving prepare → decide → resolve and the cohort-side rules for
-// voting, logging and acknowledging. The coordinator is a process whose
-// continuation is k; a run that must wait returns Waiting and is resumed
-// by calling the method again once k fires.
-type Protocol interface {
-	// Kind identifies the variant.
-	Kind() Kind
-	// Commit runs the protocol from the end of a successful work phase:
-	// prepare fan-out, vote collection, decision logging, and the phase-two
-	// fan-out. It returns Committed, or Aborted if the attempt must abort
-	// instead.
-	Commit(k *sim.Cont, env Env, t *Txn) Status
-	// Abort resolves the attempt as aborted across the first loaded
-	// cohorts. It returns Aborted when the coordinator may forget the
-	// attempt — after all abort acknowledgements for the acknowledged
-	// variants, immediately after the fan-out for presumed abort.
-	Abort(k *sim.Cont, env Env, t *Txn, loaded int) Status
-}
-
 // New returns the protocol implementing a variant.
-func New(k Kind) (Protocol, error) {
+func New(k Kind) (*Protocol, error) {
 	switch k {
 	case CentralizedTwoPC:
-		return &twoPC{kind: k, ackCommits: true, ackAborts: true}, nil
+		return &Protocol{ackCommits: true, ackAborts: true}, nil
 	case PresumedAbort:
-		return &twoPC{kind: k, shortCircuitRO: true, ackCommits: true}, nil
+		return &Protocol{shortCircuitRO: true, ackCommits: true}, nil
 	case PresumedCommit:
-		return &twoPC{kind: k, shortCircuitRO: true, initForce: true, ackAborts: true, abortForce: true}, nil
+		return &Protocol{shortCircuitRO: true, initForce: true, ackAborts: true, abortForce: true}, nil
 	default:
 		return nil, fmt.Errorf("commit: unknown protocol %v", k)
 	}

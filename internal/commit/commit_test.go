@@ -121,7 +121,7 @@ func (e *testEnv) newTxn(readOnly ...bool) *Txn {
 type coordinator struct {
 	k         sim.Cont
 	t         *testing.T
-	proto     Protocol
+	proto     *Protocol
 	env       *testEnv
 	txn       *Txn
 	loaded    int

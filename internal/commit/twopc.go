@@ -5,18 +5,21 @@ import (
 	"ddbm/internal/sim"
 )
 
-// twoPC implements all three protocol variants as one state machine
-// parameterized by what each variant acknowledges, forces and
+// Protocol is one two-phase commit variant: the coordinator-side state
+// machine driving prepare → decide → resolve and the cohort-side rules for
+// voting, logging and acknowledging. All three variants are this one state
+// machine, parameterized by what each acknowledges, forces and
 // short-circuits. The phase order is fixed — prepare fan-out, vote
 // collection, decision logging, decision, phase-two fan-out — and matches
 // the paper's centralized protocol exactly when all savings are off.
 //
-// The cohort-side steps run as Cohort methods dispatched from tagged
-// network envelopes (see Cohort.HandleMsg), so one attempt's whole
-// message flow reuses the attempt's pre-bound state instead of chaining
-// closures.
-type twoPC struct {
-	kind Kind
+// The coordinator is a process whose continuation is k: a Commit or Abort
+// run that must wait returns Waiting and is resumed by calling the same
+// method again once k fires. The cohort-side steps run as Cohort methods
+// dispatched from tagged network envelopes (see Cohort.HandleMsg), so one
+// attempt's whole message flow reuses the attempt's pre-bound state
+// instead of chaining closures.
+type Protocol struct {
 	// shortCircuitRO lets read-only cohorts vote READ: release locally at
 	// prepare time and drop out of phase two (the presumed variants).
 	shortCircuitRO bool
@@ -34,8 +37,6 @@ type twoPC struct {
 	abortForce bool
 }
 
-func (tp *twoPC) Kind() Kind { return tp.kind }
-
 // Coordinator-side run steps (Txn.step). A run starts at stepIdle, and
 // every step after it follows the one place where the coordinator waits:
 // a log force or the mail it collects.
@@ -52,7 +53,7 @@ const (
 // Aborted with the attempt still unresolved; the caller runs Abort.
 //
 //ddbmlint:hotpath coordinator commit path pinned by TestTxnPathAllocFree
-func (tp *twoPC) Commit(k *sim.Cont, env Env, t *Txn) Status {
+func (tp *Protocol) Commit(k *sim.Cont, env Env, t *Txn) Status {
 	meta := t.Meta
 	switch t.step {
 	case stepIdle:
@@ -114,7 +115,7 @@ func (tp *twoPC) Commit(k *sim.Cont, env Env, t *Txn) Status {
 // requires it.
 //
 //ddbmlint:hotpath commit decision pinned by TestTxnPathAllocFree
-func (tp *twoPC) decide(env Env, t *Txn) Status {
+func (tp *Protocol) decide(env Env, t *Txn) Status {
 	meta := t.Meta
 	meta.State = cc.Committing
 	meta.DecisionTS = env.NextTS() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
@@ -147,7 +148,7 @@ func (t *Txn) finish(st Status) Status {
 // transaction.
 //
 //ddbmlint:hotpath prepare fan-out pinned by TestTxnPathAllocFree
-func (tp *twoPC) sendPrepares(env Env, t *Txn) {
+func (tp *Protocol) sendPrepares(env Env, t *Txn) {
 	t.step, t.pending = stepVotes, len(t.Cohorts)
 	t.shortCircuit = tp.shortCircuitRO
 	if t.shortCircuit {
@@ -335,7 +336,7 @@ func (c *Cohort) sendAck() {
 // attempt's work phase are ignored.
 //
 //ddbmlint:hotpath vote collection pinned by TestTxnPathAllocFree
-func (tp *twoPC) collectVotes(k *sim.Cont, t *Txn) (over, yes bool) {
+func (tp *Protocol) collectVotes(k *sim.Cont, t *Txn) (over, yes bool) {
 	for t.pending > 0 {
 		msg, ok := t.Mail.Recv(k)
 		if !ok {
@@ -358,7 +359,7 @@ func (tp *twoPC) collectVotes(k *sim.Cont, t *Txn) (over, yes bool) {
 // record. Centralized 2PC always forces it; the presumed variants skip it
 // for a fully read-only transaction — every cohort voted READ, so there is
 // no phase two and nothing to recover.
-func (tp *twoPC) decisionForce(t *Txn) bool {
+func (tp *Protocol) decisionForce(t *Txn) bool {
 	if !tp.shortCircuitRO {
 		return true
 	}
@@ -385,7 +386,7 @@ func (tp *twoPC) decisionForce(t *Txn) bool {
 // with the attempt's mailbox reset.
 //
 //ddbmlint:hotpath coordinator abort path on the transaction path
-func (tp *twoPC) Abort(k *sim.Cont, env Env, t *Txn, loaded int) Status {
+func (tp *Protocol) Abort(k *sim.Cont, env Env, t *Txn, loaded int) Status {
 	if t.step != stepAcks {
 		t.env, t.tp = env, tp
 		env.Decided(false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"ddbm/internal/cc"
 )
@@ -307,6 +308,24 @@ func TestActiveTxnsBounded(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it holds still for
+// a millisecond. The testing package starts a test as soon as the one
+// before it signals completion, while that test's goroutine may still be
+// finishing; counted in a before-snapshot, it would later look like a
+// goroutine the run ended.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
+	}
+	return n
+}
+
 // TestNoGoroutineLeaks: Run starts no goroutine — every simulation
 // process is a continuation on the caller's goroutine — so the goroutine
 // count read mid-run, from inside a life-cycle observer, and after the
@@ -316,7 +335,7 @@ func TestNoGoroutineLeaks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	observed, mismatched := 0, 0
 	m.ObserveTxns(func(TxnEvent) {
 		observed++

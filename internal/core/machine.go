@@ -33,7 +33,7 @@ type Machine struct {
 	net       *network.Network
 	mgrs      []cc.Manager
 	algo      cc.Algorithm
-	proto     commit.Protocol
+	proto     *commit.Protocol
 	gen       *workload.Generator
 	stats     *statsCollector
 	rec       *audit.Recorder // non-nil when cfg.Audit

@@ -47,7 +47,7 @@ func TestRandomConfigInvariants(t *testing.T) {
 			t.Logf("config rejected: %v", err)
 			return false
 		}
-		goroutines := runtime.NumGoroutine()
+		goroutines := settledGoroutines()
 		res := m.Run()
 
 		if res.Commits == 0 {

@@ -17,12 +17,9 @@ import (
 // the abort-demanding messages here implement commit.AbortSignal (see
 // protocol.go).
 type (
-	msgCohortDone struct{ idx int }
-	msgSelfAbort  struct {
-		idx    int
-		reason string
-	}
-	msgAbortNotice struct{ reason string }
+	msgCohortDone  struct{ idx int }
+	msgSelfAbort   struct{ idx int }
+	msgAbortNotice struct{}
 )
 
 // Message tags for the typed network envelopes of the work phase. Tag
@@ -32,8 +29,7 @@ const (
 	tagCohortLoad      = iota // host → node: pay startup CPU, start the cohort process
 	tagCohortDone             // node → host: deliver &c.doneMsg to the coordinator
 	tagCohortSelfAbort        // node → host: deliver &c.selfAbortMsg to the coordinator
-	tagAbortNotice            // node → host: deliver &a.abortNotice to the coordinator
-	tagCrashNotice            // host → host: deliver &a.crashNotice (failure detection)
+	tagAbortNotice            // deliver &a.abortNotice to the coordinator
 	tagCohortInquiry          // node → host: recovery asks the coordinator for the outcome
 	tagCohortDecision         // host → node: the coordinator's answer to an inquiry
 )
@@ -79,15 +75,11 @@ type attemptState struct {
 	bd *obs.Ledger
 
 	abortNotice msgAbortNotice
-	onAbortFn   func(fromNode int, reason string) // a.onAbort, bound once
+	onAbortFn   func(fromNode int) // a.onAbort, bound once
 
-	// crashNotice is the failure detector's abort demand (distinct from
-	// abortNotice so the two cannot alias when a manager-demanded abort
-	// and a crash detection race); liveIdx is the attempt's slot in the
-	// fault layer's live-attempt registry. Maintained only when faults
-	// are on.
-	crashNotice msgAbortNotice
-	liveIdx     int
+	// liveIdx is the attempt's slot in the fault layer's live-attempt
+	// registry. Maintained only when faults are on.
+	liveIdx int
 }
 
 // cohortRun is the coordinator's handle on one cohort of one attempt: the
@@ -138,7 +130,7 @@ type cohortRun struct {
 	// otherwise): the cohort's mini-ledger, tiling load-send to
 	// done-delivery on the cohort's own timeline. The coordinator folds
 	// the critical cohort's account into the attempt ledger. diskSvc is
-	// the ReadMeasured scratch slot for the service/queue split.
+	// the disk Read's service-time slot for the service/queue split.
 	bd      *obs.Ledger
 	bdStore obs.Ledger
 	diskSvc float64
@@ -168,7 +160,6 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 	m.gen.Retain(plan)
 	a.refs = 1
 	if m.ft != nil {
-		a.crashNotice.reason = "node crash"
 		m.ft.attemptLive(a)
 	}
 	a.env.txn, a.env.attempt, a.env.phaseAt = id, attemptNo, 0
@@ -209,26 +200,21 @@ func (a *attemptState) release() {
 
 // onAbort is the pre-bound cc.TxnMeta.OnAbort hook: a manager at fromNode
 // demands the attempt abort, and the notice travels to the coordinator
-// with full message costs. RequestAbort fires it at most once per attempt,
-// so the embedded notice cannot alias itself.
+// with full message costs. The notice carries nothing: the reason is
+// recorded on the attempt's metadata (TxnMeta.AbortReason).
 //
 //ddbmlint:hotpath wound/deadlock abort notification
-func (a *attemptState) onAbort(fromNode int, reason string) {
-	a.abortNotice.reason = reason
+func (a *attemptState) onAbort(fromNode int) {
 	a.retain()
 	a.m.net.Send(fromNode, a.m.hostID, a, tagAbortNotice)
 }
 
-// HandleMsg delivers the attempt's abort or crash notice into the
-// coordinator's mailbox.
+// HandleMsg delivers the attempt's abort notice into the coordinator's
+// mailbox.
 //
 //ddbmlint:hotpath abort-notice delivery
-func (a *attemptState) HandleMsg(tag int) {
-	if tag == tagCrashNotice {
-		a.mail.Send(&a.crashNotice)
-	} else {
-		a.mail.Send(&a.abortNotice)
-	}
+func (a *attemptState) HandleMsg(int) {
+	a.mail.Send(&a.abortNotice)
 	a.release()
 }
 
@@ -243,7 +229,7 @@ func (a *attemptState) MsgDropped(int) { a.release() }
 // is a host-local self-send, exempt from fault handling.
 func (a *attemptState) sendCrashNotice() {
 	a.retain()
-	a.m.net.Send(a.m.hostID, a.m.hostID, a, tagCrashNotice)
+	a.m.net.Send(a.m.hostID, a.m.hostID, a, tagAbortNotice)
 }
 
 // addCohort appends one cohort run to the attempt, reusing the pooled
@@ -263,7 +249,7 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 	c := a.runs[n]
 	c.idx, c.attempt, c.plan = n, attemptNo, cp
 	c.doneMsg = msgCohortDone{idx: n}
-	c.selfAbortMsg = msgSelfAbort{idx: n, reason: "access rejected"}
+	c.selfAbortMsg = msgSelfAbort{idx: n}
 	c.reads = c.reads[:0]
 	c.bd = nil
 	if a.bd != nil {
@@ -476,7 +462,7 @@ func (t *terminal) step() {
 			t.pc = termCommit
 		case termCommit:
 			a := t.a
-			switch m.proto.Commit(&t.k, &a.env, &a.txn) { //ddbmlint:allow hotpath-alloc Protocol dispatch; the twoPC implementation carries its own hotpath pins
+			switch m.proto.Commit(&t.k, &a.env, &a.txn) {
 			case commit.Waiting:
 				return
 			case commit.Aborted:
@@ -494,7 +480,7 @@ func (t *terminal) step() {
 			t.pc = termThink
 		case termAbort:
 			a := t.a
-			if m.proto.Abort(&t.k, &a.env, &a.txn, t.loaded) == commit.Waiting { //ddbmlint:allow hotpath-alloc Protocol dispatch; see above
+			if m.proto.Abort(&t.k, &a.env, &a.txn, t.loaded) == commit.Waiting {
 				return
 			}
 			reason := t.abortResolved()
@@ -815,7 +801,7 @@ func (c *cohortRun) step() {
 				c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, node)}) //ddbmlint:allow hotpath-alloc audit-only path; auditing is off in measured runs
 			}
 			c.pc = cohortRead
-			m.disks[node].ReadMeasured(&c.k, &c.diskSvc)
+			m.disks[node].Read(&c.k, &c.diskSvc)
 			return
 		case cohortRead:
 			c.bd.SpendSplit(m.sim.Now(), c.diskSvc, obs.PhaseDiskService, obs.PhaseDiskQueue)

@@ -60,8 +60,9 @@ func (c Config) policy(check string) Policy {
 // DefaultConfig is the repo's scope table, parameterized by module path so
 // the fixture harness can reuse it under a fake module name.
 //
-//   - no-wall-clock: simulation code must run on simulated time only.
-//     cmd/... (benchmark harnesses time real work) and _test.go files are
+//   - no-wall-clock: simulation code, the observability layer in
+//     internal/obs included, must run on simulated time only. cmd/...
+//     (benchmark harnesses time real work) and _test.go files are
 //     allowlisted.
 //   - no-global-rand: nothing under internal/ or experiments/, tests
 //     included, may draw from the global math/rand source; all
@@ -75,15 +76,6 @@ func (c Config) policy(check string) Policy {
 //     by a go statement or a goroutine process (Sim.Spawn, kept for the
 //     kernel benchmark). Host concurrency anywhere else needs an audited
 //     annotation. Test harnesses are exempt.
-//   - event-retention: *sim.Event handles die when they fire or are
-//     canceled (free-list recycling), so only internal/sim itself may
-//     retain them structurally. Test files are exempt.
-//   - span-retention: *obs.Span handles die at End() (tracer free-list
-//     reuse), so only internal/obs itself may retain them structurally.
-//     Test files are exempt. Note that wall-clock reads inside
-//     internal/obs are already barred by no-wall-clock, whose allowlist
-//     covers only cmd/... — simulated-time-only discipline extends to the
-//     observability layer with no extra policy.
 //   - no-reflect-sort: library code under internal/ must sort with the
 //     generic slices helpers, not reflection-based sort.Slice — the
 //     reflectlite.Swapper cost is what made the pre-incremental lock
@@ -108,18 +100,16 @@ func (c Config) policy(check string) Policy {
 // internal/fault and internal/recovery are deliberately absent from every
 // Skip list: the fault injector and the restart machinery are simulation
 // code in full scope, so the wall-clock ban, the global-rand ban (fault
-// schedules draw only from seeded substreams), event-retention and the
-// hot-path allocation audit all apply to them unreduced. The fixture
-// packages testdata/lint/internal/fault and .../recovery pin exactly
-// that: each check fires at those package paths.
+// schedules draw only from seeded substreams) and the hot-path allocation
+// audit all apply to them unreduced. The fixture packages
+// testdata/lint/internal/fault and .../recovery pin exactly that: each
+// check fires at those package paths.
 func DefaultConfig(module string) Config {
 	return NewConfig(
 		Policy{Check: "no-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
 		Policy{Check: "no-global-rand", Skip: []string{module + "/cmd"}},
 		Policy{Check: "map-order", SkipTests: true},
 		Policy{Check: "no-naked-goroutine", SkipTests: true, Skip: []string{module + "/internal/sim"}},
-		Policy{Check: "event-retention", SkipTests: true, Skip: []string{module + "/internal/sim"}},
-		Policy{Check: "span-retention", SkipTests: true, Skip: []string{module + "/internal/obs"}},
 		Policy{Check: "no-reflect-sort", SkipTests: true, Only: []string{module + "/internal"}},
 		Policy{Check: "taint-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
 		Policy{Check: "taint-rand", SkipTests: true, Skip: []string{module + "/cmd"}},

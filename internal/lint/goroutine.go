@@ -32,13 +32,11 @@ func runNakedGoroutine(p *Pass, f *ast.File) {
 	})
 }
 
-// isSimSpawn reports whether obj is the Spawn method of the sim package's
-// Sim type.
+// isSimSpawn reports whether obj is a Spawn method of the sim package —
+// Sim.Spawn, the only one.
 func isSimSpawn(obj types.Object) bool {
 	fn, ok := obj.(*types.Func)
-	if !ok || fn.Name() != "Spawn" || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/sim") {
-		return false
-	}
-	recv := fn.Type().(*types.Signature).Recv()
-	return recv != nil && holdsNamed(recv.Type(), "internal/sim", "Sim")
+	return ok && fn.Name() == "Spawn" && fn.Pkg() != nil &&
+		strings.HasSuffix(fn.Pkg().Path(), "internal/sim") &&
+		fn.Type().(*types.Signature).Recv() != nil
 }

@@ -49,6 +49,7 @@ func interpTargets(t *testing.T, root string) []Target {
 // fixture module in testdata/interp, which spans an exempt clock helper,
 // an exempt rand helper, a simulation-scope caller, and a hot-path
 // package, and asserts the exact diagnostic set via // want comments.
+// Every interprocedural check must fire somewhere in the tree.
 func TestInterprocFixtures(t *testing.T) {
 	root := findModuleRoot(t)
 	loader, err := NewLoader(root)
@@ -68,6 +69,15 @@ func TestInterprocFixtures(t *testing.T) {
 		}
 	}
 	matchWants(t, diags, wants)
+	fired := map[string]bool{}
+	for _, d := range diags {
+		fired[d.Check] = true
+	}
+	for _, c := range ModuleChecks {
+		if !fired[c.Name] {
+			t.Errorf("no fixture under testdata/interp trips check %s", c.Name)
+		}
+	}
 }
 
 // TestLintDeterminism pins the output-determinism invariant: two fresh

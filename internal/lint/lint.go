@@ -5,15 +5,18 @@
 // tests guard that property dynamically, this package guards it
 // statically.
 //
-// Seven intra-unit checks (see the check files for details):
+// Five intra-unit checks (see the check files for details):
 //
 //	no-wall-clock       time.Now/Since/Sleep/... in simulation code
 //	no-global-rand      package-level math/rand functions
 //	map-order           for-range over a map with an order-sensitive body
 //	no-naked-goroutine  go statements and Sim.Spawn outside internal/sim
-//	event-retention     *sim.Event stored in a field or package var
-//	span-retention      *obs.Span stored in a field or package var
 //	no-reflect-sort     sort.Slice/sort.SliceStable in internal/ code
+//
+// Dead-handle hazards need no check: the kernel exports no event handle
+// (Schedule and After return nothing; a cancelable wait is a sim.Cont)
+// and the tracer no open-span handle (spans are recorded whole), so the
+// compiler rules out retaining either.
 //
 // Three interprocedural checks run over a whole-module call graph with
 // per-function determinism summaries (see callgraph.go, summary.go):
@@ -80,8 +83,6 @@ var Checks = []Check{
 	{Name: "no-global-rand", Doc: "global math/rand functions", Run: runGlobalRand},
 	{Name: "map-order", Doc: "order-sensitive map iteration", Run: runMapOrder},
 	{Name: "no-naked-goroutine", Doc: "goroutines outside the sim scheduler", Run: runNakedGoroutine},
-	{Name: "event-retention", Doc: "retained *sim.Event handles", Run: runEventRetention},
-	{Name: "span-retention", Doc: "retained *obs.Span handles", Run: runSpanRetention},
 	{Name: "no-reflect-sort", Doc: "reflection-based sort.Slice in hot library code", Run: runReflectSort},
 }
 

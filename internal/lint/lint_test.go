@@ -63,7 +63,8 @@ func collectWants(t *testing.T, dir string) map[string][]string {
 // comment must be hit on its line, and nothing unexpected may fire. The
 // fixture tree reuses the default scope table under the module name
 // "fixture", so fixture/cmd/... and fixture/internal/sim exercise the
-// allowlist entries.
+// allowlist entries. Every intra-unit check must fire somewhere: a check
+// no fixture can trip guards a hazard that can no longer occur.
 func TestFixtures(t *testing.T) {
 	root := findModuleRoot(t)
 	loader, err := NewLoader(root)
@@ -79,6 +80,7 @@ func TestFixtures(t *testing.T) {
 	if len(dirs) < 5 {
 		t.Fatalf("found only %d fixture packages under %s; expected one per check at least", len(dirs), fixRoot)
 	}
+	fired := map[string]bool{}
 	for _, rel := range dirs {
 		t.Run(rel, func(t *testing.T) {
 			dir := filepath.Join(fixRoot, filepath.FromSlash(rel))
@@ -90,8 +92,16 @@ func TestFixtures(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			for _, d := range diags {
+				fired[d.Check] = true
+			}
 			matchWants(t, diags, collectWants(t, dir))
 		})
+	}
+	for _, c := range Checks {
+		if !fired[c.Name] {
+			t.Errorf("no fixture under testdata/lint trips check %s", c.Name)
+		}
 	}
 }
 

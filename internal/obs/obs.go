@@ -7,19 +7,17 @@
 // tracer leaves every run bit-identical to the untraced run (the periodic
 // sampler is a sim process, but it only reads state — see TimeSeries).
 //
+// Spans are recorded whole, once they end: the caller keeps the start
+// time (a plain sim.Time on its own pooled record) and passes it to
+// Complete, or to the resource-specific recorders. There is no open-span
+// handle, so nothing can outlive the span it names.
+//
 // Cost discipline, in the spirit of the allocation-free kernel:
 //   - Disabled (nil *Tracer): every method is nil-receiver-safe and returns
 //     immediately, so instrumented call sites compile to a pointer test.
 //     AllocsPerRun pins in obs_test.go hold this at zero allocations.
-//   - Enabled: open spans come from a free-list and the event buffer is
-//     growable but reservable (Reserve), so steady-state recording does not
-//     allocate per span.
-//
-// Span handles die at End: the Span struct returns to the tracer's
-// free-list and may be handed out again by the next Begin. Retaining a
-// *Span in a struct field or package variable is therefore the same class
-// of bug as retaining a *sim.Event, and ddbmlint's span-retention check
-// forbids it outside this package.
+//   - Enabled: the event buffer is growable but reservable (Reserve), so
+//     steady-state recording does not allocate per event.
 package obs
 
 import (
@@ -111,49 +109,12 @@ type Event struct {
 	Detail  string
 }
 
-// Span is an open begin/end span. Handles die at End: the struct returns
-// to the tracer free-list and may be reused by a later Begin, so callers
-// must not retain a *Span after ending it (enforced by ddbmlint's
-// span-retention check).
-type Span struct {
-	tr      *Tracer
-	kind    Kind
-	name    string
-	node    int
-	txn     int64
-	attempt int
-	start   sim.Time
-}
-
-// End closes the span at the current simulated time and records it.
-// Safe on a nil *Span (the disabled-tracer path). A span not ended by
-// simulation shutdown is never recorded — exactly the semantics wanted
-// for processes killed mid-flight at the end of a run.
-func (s *Span) End() {
-	if s == nil {
-		return
-	}
-	t := s.tr
-	t.record(Event{
-		Kind:    s.kind,
-		Name:    s.name,
-		Node:    s.node,
-		Txn:     s.txn,
-		Attempt: s.attempt,
-		Start:   s.start,
-		End:     t.sim.Now(),
-	})
-	s.tr = nil
-	t.spanFree = append(t.spanFree, s)
-}
-
 // Tracer records spans and instants against one simulation's clock. The
-// zero-cost disabled state is a nil *Tracer: every method (and Span.End)
-// is nil-receiver-safe.
+// zero-cost disabled state is a nil *Tracer: every method is
+// nil-receiver-safe.
 type Tracer struct {
-	sim      *sim.Sim
-	events   []Event
-	spanFree []*Span
+	sim    *sim.Sim
+	events []Event
 }
 
 // NewTracer creates a tracer bound to the simulation clock.
@@ -161,11 +122,8 @@ func NewTracer(s *sim.Sim) *Tracer {
 	return &Tracer{sim: s}
 }
 
-// Enabled reports whether the tracer records (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Reserve grows the event buffer capacity to at least n, so recording up
-// to n events allocates nothing beyond the spans' free-list warmup.
+// to n events allocates nothing.
 func (t *Tracer) Reserve(n int) {
 	if t == nil || cap(t.events) >= n {
 		return
@@ -196,28 +154,9 @@ func (t *Tracer) record(e Event) {
 	t.events = append(t.events, e) //ddbmlint:allow hotpath-alloc trace buffer; traced runs trade allocation for observability, the measured path has a nil tracer
 }
 
-// Begin opens a span at the current simulated time. Returns nil (a valid,
-// inert span) when the tracer is nil.
-func (t *Tracer) Begin(kind Kind, name string, node int, txn int64, attempt int) *Span {
-	if t == nil {
-		return nil
-	}
-	var s *Span
-	if n := len(t.spanFree); n > 0 {
-		s = t.spanFree[n-1]
-		t.spanFree[n-1] = nil
-		t.spanFree = t.spanFree[:n-1]
-	} else {
-		s = &Span{}
-	}
-	*s = Span{tr: t, kind: kind, name: name, node: node, txn: txn, attempt: attempt, start: t.sim.Now()}
-	return s
-}
-
-// Complete records a span retroactively, from start to the current
-// simulated time — the no-handle alternative to Begin/End for call sites
-// that already know when the activity began (a blocking episode observed
-// at wakeup, a protocol phase boundary).
+// Complete records a span from start to the current simulated time. The
+// caller keeps the start (a blocking episode observed at wakeup, a
+// protocol phase boundary, an attempt's start on its pooled record).
 func (t *Tracer) Complete(kind Kind, name string, node int, txn int64, attempt int, start sim.Time) {
 	if t == nil {
 		return

@@ -14,16 +14,14 @@ import (
 func TestDisabledTracerZeroAllocs(t *testing.T) {
 	var tr *Tracer
 	allocs := testing.AllocsPerRun(200, func() {
-		sp := tr.Begin(KindTxn, "attempt", 0, 1, 1)
-		sp.End()
 		tr.Complete(KindCCWait, "cc-wait", 0, 1, 1, 0)
 		tr.Instant("submitted", 0, 1, 1, "")
 		tr.Message(0, 1, 0)
 		tr.CPUBusy(0, 0)
 		tr.DiskAccess(0, 2, true, 0)
 		tr.Reserve(128)
-		if tr.Enabled() || tr.Events() != nil || tr.Len() != 0 {
-			t.Fatal("nil tracer must report disabled and empty")
+		if tr.Events() != nil || tr.Len() != 0 {
+			t.Fatal("nil tracer must record nothing")
 		}
 	})
 	if allocs != 0 {
@@ -31,16 +29,14 @@ func TestDisabledTracerZeroAllocs(t *testing.T) {
 	}
 }
 
-// Enabled steady state: with the event buffer reserved and the span
-// free-list warmed, recording must not allocate.
+// Enabled steady state: with the event buffer reserved, recording must
+// not allocate.
 func TestEnabledSteadyStateAllocs(t *testing.T) {
 	s := sim.New(1)
 	tr := NewTracer(s)
 	tr.Reserve(4096)
-	tr.Begin(KindTxn, "warm", 0, 1, 1).End() // prime the free-list
 	allocs := testing.AllocsPerRun(500, func() {
-		sp := tr.Begin(KindTxn, "attempt", 0, 7, 2)
-		sp.End()
+		tr.Complete(KindTxn, "attempt", 0, 7, 2, 0)
 		tr.Complete(KindCCWait, "cc-wait", 1, 7, 2, 0)
 		tr.Instant("committed", 0, 7, 2, "")
 		tr.DiskAccess(1, 0, false, 0)
@@ -50,32 +46,6 @@ func TestEnabledSteadyStateAllocs(t *testing.T) {
 	}
 	if tr.Len() == 0 {
 		t.Fatal("no events recorded")
-	}
-}
-
-// Spans go back to the free-list at End and are handed out again — the
-// contract the span-retention lint check exists to protect.
-func TestSpanFreeListReuse(t *testing.T) {
-	tr := NewTracer(sim.New(1))
-	sp := tr.Begin(KindCohort, "cohort", 2, 5, 1)
-	sp.End()
-	sp2 := tr.Begin(KindCohort, "cohort", 3, 6, 1)
-	if sp != sp2 {
-		t.Fatal("End did not recycle the span through the free-list")
-	}
-	ev := tr.Events()
-	if len(ev) != 1 || ev[0].Node != 2 || ev[0].Txn != 5 {
-		t.Fatalf("recorded events wrong: %+v", ev)
-	}
-}
-
-// A span begun but never ended (a process killed at shutdown) must not
-// record anything.
-func TestUnendedSpanNotRecorded(t *testing.T) {
-	tr := NewTracer(sim.New(1))
-	_ = tr.Begin(KindCohort, "cohort", 0, 1, 1)
-	if tr.Len() != 0 {
-		t.Fatalf("unended span recorded %d events; want 0", tr.Len())
 	}
 }
 

@@ -16,9 +16,8 @@ const instEpsilon = 1e-6
 
 // cpuJob is one unit of CPU work, held by value in the CPU's queues so
 // steady-state submission allocates nothing. Completion either resumes
-// the waiting process's continuation k (the Use/UseMsgBlocking path — no
-// closure needed) or invokes done (the async path — callers pass
-// pre-bound functions).
+// the waiting process's continuation k (the Use path — no closure needed)
+// or invokes done (the async path — callers pass pre-bound functions).
 type cpuJob struct {
 	remaining float64 // instructions left
 	done      func()
@@ -64,12 +63,10 @@ type CPU struct {
 	finScratch []cpuJob
 
 	lastT sim.Time
-	// next is the pending completion event. Audited retainer: complete()
-	// nils it before callbacks run and reschedule() cancels-then-replaces
-	// it, so it never holds a dead (recycled) handle.
-	//ddbmlint:allow event-retention canceled or nilled before the handle dies; see reschedule/complete
-	next       *sim.Event
-	completeFn func() // c.complete, bound once so reschedule never allocates
+	// next resumes complete when the earliest job is due; reschedule
+	// cancels and re-delays it on every state change. Like every pending
+	// continuation, it leaves the queue when Sim.Run returns.
+	next sim.Cont
 
 	busyPS  float64 // ms spent on processor-sharing work
 	busyMsg float64 // ms spent on message processing
@@ -91,7 +88,7 @@ func NewCPU(s *sim.Sim, mips float64) *CPU {
 		panic("resource: CPU MIPS must be positive")
 	}
 	c := &CPU{sim: s, rate: mips * 1000, lastT: s.Now()}
-	c.completeFn = c.complete
+	c.next.Init(s, c.complete)
 	return c
 }
 
@@ -187,18 +184,6 @@ func (c *CPU) UseMsg(inst float64, done func()) {
 	c.submitMsg(cpuJob{remaining: inst, done: done})
 }
 
-// UseMsgBlocking is UseMsg for a process: like Use, it reports whether
-// the process must wait for k to be resumed.
-//
-//ddbmlint:hotpath blocking message service on the transaction path
-func (c *CPU) UseMsgBlocking(k *sim.Cont, inst float64) bool {
-	if inst <= 0 {
-		return false
-	}
-	c.submitMsg(cpuJob{remaining: inst, k: k})
-	return true
-}
-
 //ddbmlint:hotpath shared PS submission path
 func (c *CPU) submitPS(j cpuJob) {
 	c.advance()
@@ -263,10 +248,7 @@ func (c *CPU) advance() {
 //
 //ddbmlint:hotpath completion scheduling on every CPU state change
 func (c *CPU) reschedule() {
-	if c.next != nil {
-		c.sim.Cancel(c.next)
-		c.next = nil
-	}
+	c.next.Cancel()
 	var dt float64
 	switch {
 	case c.msgLen > 0:
@@ -282,10 +264,7 @@ func (c *CPU) reschedule() {
 	default:
 		return
 	}
-	if dt < 0 {
-		dt = 0
-	}
-	c.next = c.sim.After(dt, c.completeFn)
+	c.next.Delay(dt)
 }
 
 // complete fires when the earliest job should have finished. Finished jobs
@@ -295,7 +274,6 @@ func (c *CPU) reschedule() {
 //
 //ddbmlint:hotpath CPU completion dispatch pinned by TestTxnPathAllocFree
 func (c *CPU) complete() {
-	c.next = nil
 	c.advance()
 	fin := c.finScratch[:0]
 	if c.msgLen > 0 {
@@ -341,10 +319,7 @@ func (c *CPU) complete() {
 // repair.
 func (c *CPU) Crash() {
 	c.advance()
-	if c.next != nil {
-		c.sim.Cancel(c.next)
-		c.next = nil
-	}
+	c.next.Cancel()
 	if c.tr != nil && c.msgLen+len(c.ps) > 0 {
 		c.tr.CPUBusy(c.node, c.busyStart)
 	}

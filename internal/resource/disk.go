@@ -7,14 +7,14 @@ import (
 
 // diskReq is one queued disk access, held by value in the per-disk rings.
 // Completion either resumes the waiting process's continuation k (Read,
-// Write — no closure) or invokes done (async path — callers pass
+// Write — no closure) or invokes done (WriteAsync — callers pass
 // pre-bound functions).
 type diskReq struct {
 	write bool
 	done  func()
 	k     *sim.Cont
 	// svc, when non-nil, receives the drawn service time at completion —
-	// the breakdown accounting's service/queue split seam (ReadMeasured).
+	// the breakdown accounting's service/queue split seam (Read).
 	svc *float64
 }
 
@@ -160,28 +160,14 @@ func (d *DiskArray) SetTrace(t *obs.Tracer, node int) {
 
 // Read performs a synchronous page read for the process whose
 // continuation is k: the process waits, and k is resumed when the disk
-// completes the read.
+// completes the read. A non-nil svc receives the access's drawn service
+// time at completion (the elapsed time minus *svc is the queueing
+// delay); it draws no randomness and schedules nothing, so runs are
+// bit-identical either way.
 //
 //ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
-func (d *DiskArray) Read(k *sim.Cont) {
-	d.submit(diskReq{write: false, k: k})
-}
-
-// ReadMeasured is Read, additionally storing the access's drawn service
-// time into *svc at completion (the elapsed wall-clock minus *svc is the
-// queueing delay). Behaviour is otherwise identical to Read — same
-// randomness, same scheduling — so runs are bit-identical either way.
-//
-//ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
-func (d *DiskArray) ReadMeasured(k *sim.Cont, svc *float64) {
+func (d *DiskArray) Read(k *sim.Cont, svc *float64) {
 	d.submit(diskReq{write: false, k: k, svc: svc})
-}
-
-// ReadAsync performs a page read and calls done on completion.
-//
-//ddbmlint:hotpath async page reads on the transaction path
-func (d *DiskArray) ReadAsync(done func()) {
-	d.submit(diskReq{write: false, done: done})
 }
 
 // WriteAsync queues an asynchronous page write (post-commit write-back);

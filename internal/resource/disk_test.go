@@ -10,9 +10,20 @@ import (
 // readStep is a script step performing one synchronous read on d.
 func readStep(d *DiskArray) simtest.Step {
 	return simtest.Wait(func(k *sim.Cont) bool {
-		d.Read(k)
+		d.Read(k, nil)
 		return true
 	})
+}
+
+// readThen submits one read at once, on a continuation whose step is fn:
+// fn (if any) runs in the resume event the read's completion schedules.
+func readThen(d *DiskArray, fn func()) {
+	if fn == nil {
+		fn = func() {}
+	}
+	k := new(sim.Cont)
+	k.Init(d.sim, fn)
+	d.Read(k, nil)
 }
 
 func TestDiskReadServiceTimeBounds(t *testing.T) {
@@ -43,10 +54,19 @@ func TestDiskFixedServiceTime(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var done sim.Time
-	simtest.Go(s, readStep(d), simtest.Do(func() { done = s.Now() }))
+	svc := -1.0
+	simtest.Go(s,
+		simtest.Wait(func(k *sim.Cont) bool {
+			d.Read(k, &svc)
+			return true
+		}),
+		simtest.Do(func() { done = s.Now() }))
 	s.Run(100)
 	if done != 20 {
 		t.Errorf("degenerate-uniform access finished at %v, want 20", done)
+	}
+	if svc != 20 {
+		t.Errorf("service-time slot holds %v, want 20", svc)
 	}
 }
 
@@ -59,7 +79,7 @@ func TestDiskQueueingFIFO(t *testing.T) {
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		i := i
-		d.ReadAsync(func() {
+		readThen(d, func() {
 			order = append(order, i)
 			times = append(times, s.Now())
 		})
@@ -82,8 +102,8 @@ func TestDiskWritePriority(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var order []string
-	d.ReadAsync(func() { order = append(order, "r1") })
-	d.ReadAsync(func() { order = append(order, "r2") })
+	readThen(d, func() { order = append(order, "r1") })
+	readThen(d, func() { order = append(order, "r2") })
 	d.WriteAsync(func() { order = append(order, "w") })
 	s.Run(1000)
 	if len(order) != 3 || order[0] != "r1" || order[1] != "w" || order[2] != "r2" {
@@ -96,7 +116,7 @@ func TestDiskWritePriorityNonPreemptive(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
 	var readDone, writeDone sim.Time
-	d.ReadAsync(func() { readDone = s.Now() })
+	readThen(d, func() { readDone = s.Now() })
 	s.Schedule(5, func() {
 		d.WriteAsync(func() { writeDone = s.Now() })
 	})
@@ -118,7 +138,7 @@ func TestDiskMultipleSpindlesParallel(t *testing.T) {
 	var last sim.Time
 	n := 0
 	for i := 0; i < 8; i++ {
-		d.ReadAsync(func() {
+		readThen(d, func() {
 			n++
 			if s.Now() > last {
 				last = s.Now()
@@ -138,7 +158,7 @@ func TestDiskCounts(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 2, 10, 30)
 	for i := 0; i < 5; i++ {
-		d.ReadAsync(nil)
+		readThen(d, nil)
 	}
 	for i := 0; i < 3; i++ {
 		d.WriteAsync(nil)
@@ -153,7 +173,7 @@ func TestDiskCounts(t *testing.T) {
 func TestDiskUtilization(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
-	d.ReadAsync(nil) // busy [0,20]
+	readThen(d, nil) // busy [0,20]
 	s.Run(40)        // idle [20,40]
 	if u := d.Utilization(); u < 0.49 || u > 0.51 {
 		t.Errorf("utilization %v, want 0.5", u)
@@ -164,7 +184,7 @@ func TestDiskUtilizationAveragesSpindles(t *testing.T) {
 	// One busy disk of two: utilization = busy/2.
 	s := sim.New(1)
 	d := NewDiskArray(s, 2, 20, 20)
-	d.ReadAsync(nil)
+	readThen(d, nil)
 	s.Run(21) // busy time is credited at completion (t=20)
 	u := d.Utilization()
 	if u < 0.45 || u > 0.55 {
@@ -175,10 +195,10 @@ func TestDiskUtilizationAveragesSpindles(t *testing.T) {
 func TestDiskMarkWarmup(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
-	d.ReadAsync(nil) // [0,20] busy
+	readThen(d, nil) // [0,20] busy
 	s.Schedule(30, func() {
 		d.MarkWarmup()
-		d.ReadAsync(nil) // [30,50] busy
+		readThen(d, nil) // [30,50] busy
 	})
 	s.Run(70) // window [30,70]: 20/40 busy
 	if u := d.Utilization(); u < 0.49 || u > 0.51 {
@@ -189,8 +209,8 @@ func TestDiskMarkWarmup(t *testing.T) {
 func TestDiskQueueLen(t *testing.T) {
 	s := sim.New(1)
 	d := NewDiskArray(s, 1, 20, 20)
-	d.ReadAsync(nil)
-	d.ReadAsync(nil)
+	readThen(d, nil)
+	readThen(d, nil)
 	d.WriteAsync(nil)
 	if d.QueueLen() != 2 {
 		t.Errorf("queue len %d, want 2 (one in service)", d.QueueLen())

@@ -28,21 +28,6 @@ func TestScheduleFireAllocFree(t *testing.T) {
 	}
 }
 
-// TestScheduleCancelAllocFree: canceling returns the event to the
-// free-list, so churning schedule/cancel (the CPU reschedule pattern)
-// allocates nothing.
-func TestScheduleCancelAllocFree(t *testing.T) {
-	s := New(1)
-	fn := func() {}
-	s.Cancel(s.Schedule(10, fn))
-	allocs := testing.AllocsPerRun(200, func() {
-		s.Cancel(s.Schedule(10, fn))
-	})
-	if allocs != 0 {
-		t.Errorf("schedule+cancel allocates %v objects per event, want 0", allocs)
-	}
-}
-
 // TestDelayAllocFree: a process hold — a continuation scheduled with
 // Delay, then fired — uses the handle's embedded resume event and
 // allocates nothing.
@@ -102,14 +87,12 @@ func TestMailboxSteadyStateAllocFree(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		m.Send(msg)
 	}
-	for {
-		if _, ok := m.TryRecv(); !ok {
-			break
-		}
+	for m.Len() > 0 {
+		m.Recv(&rx)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		m.Send(msg)
-		if _, ok := m.TryRecv(); !ok {
+		if _, ok := m.Recv(&rx); !ok {
 			t.Fatal("message lost")
 		}
 		if _, ok := m.Recv(&rx); ok {
@@ -127,13 +110,14 @@ func TestMailboxSteadyStateAllocFree(t *testing.T) {
 // and a bounded backlog settles into its ring and stops allocating.
 func TestMailboxBacklogAllocAmortized(t *testing.T) {
 	var m Mailbox
+	var rx Cont
 	var msg any = 1
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 16; i++ {
 			m.Send(msg)
 		}
 		for i := 0; i < 16; i++ {
-			if _, ok := m.TryRecv(); !ok {
+			if _, ok := m.Recv(&rx); !ok {
 				t.Fatal("message lost")
 			}
 		}

@@ -2,7 +2,7 @@ package sim
 
 // eventQueue is a 4-ary min-heap of pending events ordered by (at, seq).
 // It replaces container/heap to keep the kernel hot path free of interface
-// dispatch and `any` boxing: push/pop/remove compare *Event directly and the
+// dispatch and `any` boxing: push/pop/remove compare *event directly and the
 // comparisons inline. A 4-ary layout halves the tree depth of a binary heap,
 // trading a few extra comparisons per level for far fewer cache-missing
 // levels — a net win at the queue sizes a busy machine sustains (one pending
@@ -13,12 +13,12 @@ package sim
 // arity. That is what keeps the kernel rewrite bit-identical to the old
 // container/heap binary-heap kernel for any fixed seed.
 type eventQueue struct {
-	items []*Event
+	items []*event
 }
 
 // eventBefore reports whether a fires before b: earlier time first,
 // scheduling order (seq) breaking ties.
-func eventBefore(a, b *Event) bool {
+func eventBefore(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -28,16 +28,16 @@ func eventBefore(a, b *Event) bool {
 func (q *eventQueue) len() int { return len(q.items) }
 
 // min returns the earliest pending event without removing it.
-func (q *eventQueue) min() *Event { return q.items[0] }
+func (q *eventQueue) min() *event { return q.items[0] }
 
 // push inserts e and records its heap index for O(log n) removal.
-func (q *eventQueue) push(e *Event) {
+func (q *eventQueue) push(e *event) {
 	q.items = append(q.items, e) //ddbmlint:allow hotpath-alloc event-heap backing array grows to its high-water mark
 	q.siftUp(len(q.items) - 1)
 }
 
 // pop removes and returns the earliest event. Its index is set to -1.
-func (q *eventQueue) pop() *Event {
+func (q *eventQueue) pop() *event {
 	items := q.items
 	e := items[0]
 	n := len(items) - 1
@@ -53,9 +53,9 @@ func (q *eventQueue) pop() *Event {
 	return e
 }
 
-// remove deletes the event at heap index i (used by Cancel). The displaced
-// tail element is sifted in both directions because it may violate the heap
-// property either way relative to its new position.
+// remove deletes the event at heap index i (used by Cont.Cancel). The
+// displaced tail element is sifted in both directions because it may
+// violate the heap property either way relative to its new position.
 func (q *eventQueue) remove(i int) {
 	items := q.items
 	n := len(items) - 1

@@ -14,12 +14,12 @@ func TestEventQueuePopsInTotalOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		var q eventQueue
 		n := rng.Intn(200) + 1
-		events := make([]*Event, n)
+		events := make([]*event, n)
 		for i := 0; i < n; i++ {
-			events[i] = &Event{at: Time(rng.Intn(10)), seq: uint64(i + 1), index: -1}
+			events[i] = &event{at: Time(rng.Intn(10)), seq: uint64(i + 1), index: -1}
 			q.push(events[i])
 		}
-		want := append([]*Event(nil), events...)
+		want := append([]*event(nil), events...)
 		sort.Slice(want, func(i, j int) bool { return eventBefore(want[i], want[j]) })
 		for i, w := range want {
 			if q.len() != n-i {
@@ -44,12 +44,12 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		var q eventQueue
 		n := rng.Intn(150) + 2
-		events := make([]*Event, n)
+		events := make([]*event, n)
 		for i := 0; i < n; i++ {
-			events[i] = &Event{at: Time(rng.Intn(8)), seq: uint64(i + 1), index: -1}
+			events[i] = &event{at: Time(rng.Intn(8)), seq: uint64(i + 1), index: -1}
 			q.push(events[i])
 		}
-		removed := map[*Event]bool{}
+		removed := map[*event]bool{}
 		for i := 0; i < n/3; i++ {
 			e := events[rng.Intn(n)]
 			if removed[e] {
@@ -61,7 +61,7 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 				t.Fatalf("removed event retains heap index %d", e.index)
 			}
 		}
-		var survivors []*Event
+		var survivors []*event
 		for _, e := range events {
 			if !removed[e] {
 				survivors = append(survivors, e)
@@ -81,17 +81,17 @@ func TestEventQueueRemoveKeepsOrder(t *testing.T) {
 
 // TestEventQueueIndexConsistency verifies the index invariant — every
 // queued event's index field points at its own slot — after a mixed
-// push/pop/remove workload. Cancel depends on it.
+// push/pop/remove workload. Cont.Cancel depends on it.
 func TestEventQueueIndexConsistency(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var q eventQueue
 	var seq uint64
-	live := map[*Event]bool{}
+	live := map[*event]bool{}
 	for op := 0; op < 5000; op++ {
 		switch {
 		case q.len() == 0 || rng.Intn(3) == 0:
 			seq++
-			e := &Event{at: Time(rng.Intn(50)), seq: seq, index: -1}
+			e := &event{at: Time(rng.Intn(50)), seq: seq, index: -1}
 			q.push(e)
 			live[e] = true
 		case rng.Intn(2) == 0:

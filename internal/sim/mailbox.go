@@ -71,15 +71,6 @@ func (m *Mailbox) Recv(k *Cont) (msg any, ok bool) {
 	return m.pop(), true
 }
 
-// TryRecv returns the next message without registering a waiter; ok is
-// false if the mailbox is empty.
-func (m *Mailbox) TryRecv() (msg any, ok bool) {
-	if m.count == 0 {
-		return nil, false
-	}
-	return m.pop(), true
-}
-
 // Len returns the number of queued messages.
 func (m *Mailbox) Len() int { return m.count }
 

@@ -36,10 +36,16 @@ func TestMailboxSendBeforeRecv(t *testing.T) {
 	var m Mailbox
 	m.Send(1)
 	m.Send(2)
+	if m.Len() != 2 {
+		t.Errorf("Len = %d, want 2", m.Len())
+	}
 	r := newReceiver(s, &m, 2)
 	s.Run(10)
 	if len(r.got) != 2 || r.got[0] != 1 || r.got[1] != 2 {
 		t.Fatalf("got %v, want [1 2]", r.got)
+	}
+	if m.Len() != 0 {
+		t.Errorf("Len after drain = %d, want 0", m.Len())
 	}
 }
 
@@ -73,24 +79,6 @@ func TestMailboxFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("not FIFO: %v", r.got)
 		}
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	var m Mailbox
-	if _, ok := m.TryRecv(); ok {
-		t.Error("TryRecv on empty mailbox succeeded")
-	}
-	m.Send(7)
-	if m.Len() != 1 {
-		t.Errorf("Len = %d, want 1", m.Len())
-	}
-	v, ok := m.TryRecv()
-	if !ok || v.(int) != 7 {
-		t.Errorf("TryRecv = %v, %v", v, ok)
-	}
-	if m.Len() != 0 {
-		t.Errorf("Len after drain = %d, want 0", m.Len())
 	}
 }
 

@@ -14,11 +14,17 @@
 // caller's goroutine: a resumption costs one event, not a goroutine
 // switch.
 //
-// The kernel hot path is allocation-free in steady state: fired and
-// canceled callback events are recycled through a free-list, and every
-// continuation embeds its own resume event, so resuming a process neither
-// allocates an Event nor a closure. See DESIGN.md ("Kernel performance")
-// for the invariants this preserves.
+// The kernel offers two scheduling forms and exports no event handle:
+// fire-and-forget callbacks (Schedule, After), which cannot be withdrawn,
+// and continuations (Cont), whose pending resumption can be canceled
+// through the handle that owns it. No caller can therefore hold an event
+// past its firing.
+//
+// The kernel hot path is allocation-free in steady state: fired callback
+// events are recycled through a free-list, and every continuation embeds
+// its own resume event, so resuming a process neither allocates an event
+// nor a closure. See DESIGN.md ("Kernel performance") for the invariants
+// this preserves.
 package sim
 
 import (
@@ -30,36 +36,22 @@ import (
 // Time is simulated time in milliseconds.
 type Time = float64
 
-// Event is a scheduled callback. It can be canceled before it fires.
-//
-// Recycling contract: once an event has fired or been canceled, its handle
-// is dead — the simulator may reuse the struct for a later Schedule call.
-// Holders must drop their reference after the event fires or after they
-// cancel it (calling Cancel again on a dead handle before the simulator
-// reuses it is still a harmless no-op). All in-tree callers either discard
-// the handle immediately or nil their reference on fire/cancel.
-type Event struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	index    int // heap index, -1 while not queued
-	canceled bool
+// event is one scheduled callback or continuation resumption.
+type event struct {
+	at    Time
+	seq   uint64
+	fn    func()
+	index int // heap index, -1 while not queued
 	// owned marks a continuation's embedded resume event: it belongs to
 	// its Cont and never passes through the free-list.
 	owned bool
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
-// At returns the simulated time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Sim is a discrete-event simulator instance.
 type Sim struct {
 	now        Time
 	events     eventQueue
-	free       []*Event // recycled callback events
+	free       []*event // recycled callback events
 	seq        uint64
 	dispatched uint64
 	seed       int64
@@ -74,9 +66,6 @@ func New(seed int64) *Sim {
 		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
-
-// Seed returns the seed the simulator was created with.
-func (s *Sim) Seed() int64 { return s.seed }
 
 // Substream returns an independent deterministic random source derived from
 // the simulator's seed, a stream name, and a numeric id. Substreams let a
@@ -115,30 +104,29 @@ func (s *Sim) EventsDispatched() uint64 { return s.dispatched }
 
 // allocEvent takes a recycled callback event from the free-list or makes a
 // fresh one. Fields left over from a previous life are reset.
-func (s *Sim) allocEvent() *Event {
+func (s *Sim) allocEvent() *event {
 	if n := len(s.free); n > 0 {
 		e := s.free[n-1]
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
-		e.canceled = false
 		return e
 	}
-	return &Event{index: -1} //ddbmlint:allow hotpath-alloc event pool growth to the in-flight high-water mark
+	return &event{index: -1} //ddbmlint:allow hotpath-alloc event pool growth to the in-flight high-water mark
 }
 
-// releaseEvent returns a fired or canceled callback event to the free-list.
+// releaseEvent returns a fired callback event to the free-list.
 // Continuation resume events are embedded in their Cont and never pass
 // through here.
-func (s *Sim) releaseEvent(e *Event) {
+func (s *Sim) releaseEvent(e *event) {
 	e.fn = nil
-	s.free = append(s.free, e) //ddbmlint:allow hotpath-alloc event free-list push; capacity reaches the in-flight high-water mark
+	s.free = append(s.free, e)
 }
 
 // enqueue stamps the event with the next sequence number and queues it.
 // The seq counter advances exactly once per scheduling call, in call order,
 // which (together with the total (at, seq) heap order) makes event dispatch
 // order a pure function of the call sequence.
-func (s *Sim) enqueue(e *Event, at Time) {
+func (s *Sim) enqueue(e *event, at Time) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now)) //ddbmlint:allow hotpath-alloc kernel-bug panic path; the run is already dead
 	}
@@ -149,43 +137,26 @@ func (s *Sim) enqueue(e *Event, at Time) {
 }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
-// panics: it would silently reorder causality.
-func (s *Sim) Schedule(at Time, fn func()) *Event {
+// panics: it would silently reorder causality. A callback cannot be
+// withdrawn; a wait that may need canceling is a Cont.
+func (s *Sim) Schedule(at Time, fn func()) {
 	e := s.allocEvent()
 	e.fn = fn
 	s.enqueue(e, at)
-	return e
 }
 
 // After registers fn to run d milliseconds from now.
-func (s *Sim) After(d Time, fn func()) *Event {
+func (s *Sim) After(d Time, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return s.Schedule(s.now+d, fn)
-}
-
-// Cancel removes a pending event. Canceling an already-fired or
-// already-canceled event is a no-op (but see the recycling contract on
-// Event: a dead handle must be dropped promptly).
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.canceled || e.index < 0 {
-		if e != nil {
-			e.canceled = true
-		}
-		return
-	}
-	e.canceled = true
-	s.events.remove(e.index)
-	if !e.owned {
-		s.releaseEvent(e)
-	}
+	s.Schedule(s.now+d, fn)
 }
 
 // fire dispatches one popped event. Callback events are recycled before
 // their function runs, so a callback that schedules reuses the same
 // struct; a continuation's event stays with its Cont.
-func (s *Sim) fire(e *Event) {
+func (s *Sim) fire(e *event) {
 	s.now = e.at
 	s.dispatched++
 	fn := e.fn
@@ -205,9 +176,6 @@ func (s *Sim) Run(end Time) Time {
 			break
 		}
 		s.events.pop()
-		if e.canceled {
-			continue
-		}
 		s.fire(e)
 	}
 	if s.now < end {
@@ -222,14 +190,14 @@ func (s *Sim) Run(end Time) Time {
 // dismissed, so nothing a process holds outlives the run. Callback events
 // stay queued.
 func (s *Sim) endProcesses() {
-	var pending []*Event
+	var pending []*event
 	for _, e := range s.events.items {
 		if e.owned {
 			pending = append(pending, e)
 		}
 	}
 	for _, e := range pending {
-		s.Cancel(e)
+		s.events.remove(e.index)
 	}
 	for i, p := range s.procs {
 		if !p.done {
@@ -244,19 +212,11 @@ func (s *Sim) endProcesses() {
 // Step executes the single next event if one exists before end; it reports
 // whether an event fired. Useful for tests that need fine-grained control.
 func (s *Sim) Step(end Time) bool {
-	for s.events.len() > 0 {
-		e := s.events.min()
-		if e.at >= end {
-			return false
-		}
-		s.events.pop()
-		if e.canceled {
-			continue
-		}
-		s.fire(e)
-		return true
+	if s.events.len() == 0 || s.events.min().at >= end {
+		return false
 	}
-	return false
+	s.fire(s.events.pop())
+	return true
 }
 
 // Cont is a continuation handle: the resumption point of one simulation
@@ -274,7 +234,7 @@ func (s *Sim) Step(end Time) bool {
 // satisfied continues inline without an event. The (time, seq) order of
 // every event is therefore the one the goroutine kernel produced.
 type Cont struct {
-	ev  Event
+	ev  event
 	sim *Sim
 }
 
@@ -283,7 +243,7 @@ type Cont struct {
 // usage bug.
 func (k *Cont) Init(s *Sim, step func()) {
 	k.sim = s
-	k.ev = Event{fn: step, index: -1, owned: true}
+	k.ev = event{fn: step, index: -1, owned: true}
 }
 
 // Sim returns the simulator the handle is bound to.
@@ -306,13 +266,17 @@ func (k *Cont) schedule(at Time) {
 	if k.ev.index >= 0 {
 		panic("sim: continuation already has a pending resume")
 	}
-	k.ev.canceled = false
 	k.sim.enqueue(&k.ev, at)
 }
 
 // Cancel withdraws a pending resumption, so the step does not run — the
-// crash-stop of a process. A handle with nothing pending is left alone.
-func (k *Cont) Cancel() { k.sim.Cancel(&k.ev) }
+// crash-stop of a process, or a resource moving its next completion. A
+// handle with nothing pending is left alone.
+func (k *Cont) Cancel() {
+	if k.ev.index >= 0 {
+		k.sim.events.remove(k.ev.index)
+	}
+}
 
 // Pending reports whether a resumption is scheduled.
 func (k *Cont) Pending() bool { return k.ev.index >= 0 }

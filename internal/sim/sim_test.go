@@ -83,50 +83,6 @@ func TestNowAdvances(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsEvent(t *testing.T) {
-	s := New(1)
-	fired := false
-	e := s.Schedule(10, func() { fired = true })
-	s.Cancel(e)
-	s.Run(100)
-	if fired {
-		t.Error("canceled event fired")
-	}
-	if !e.Canceled() {
-		t.Error("event not marked canceled")
-	}
-}
-
-func TestCancelIsIdempotent(t *testing.T) {
-	s := New(1)
-	e := s.Schedule(10, func() {})
-	s.Cancel(e)
-	s.Cancel(e)
-	s.Cancel(nil)
-	s.Run(100)
-}
-
-func TestCancelOneOfMany(t *testing.T) {
-	s := New(1)
-	var got []int
-	var events []*Event
-	for i := 0; i < 5; i++ {
-		i := i
-		events = append(events, s.Schedule(Time(i+1), func() { got = append(got, i) }))
-	}
-	s.Cancel(events[2])
-	s.Run(100)
-	want := []int{0, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-}
-
 func TestSchedulePastPanics(t *testing.T) {
 	s := New(1)
 	s.Schedule(50, func() {
@@ -316,8 +272,10 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 func TestEventOrderProperty(t *testing.T) {
-	// Property: however events are scheduled (random times, some canceled),
-	// surviving events fire in (time, insertion) order.
+	// Property: however events are scheduled (random times, callbacks
+	// mixed with continuations, some continuations canceled), the
+	// surviving events fire in (time, insertion) order: Cont.Cancel's heap
+	// removal leaves the rest of the queue in order.
 	f := func(times []uint16, cancelMask uint64) bool {
 		if len(times) > 64 {
 			times = times[:64]
@@ -328,17 +286,22 @@ func TestEventOrderProperty(t *testing.T) {
 			seq int
 		}
 		var fired []rec
-		var events []*Event
+		ks := make([]Cont, len(times))
+		canceled := func(i int) bool { return i%2 == 0 && cancelMask&(1<<uint(i)) != 0 }
 		for i, tt := range times {
 			at := Time(tt % 1000)
 			i := i
-			events = append(events, s.Schedule(at, func() {
-				fired = append(fired, rec{at: at, seq: i})
-			}))
+			fire := func() { fired = append(fired, rec{at: at, seq: i}) }
+			if i%2 == 0 {
+				ks[i].Init(s, fire)
+				ks[i].Delay(at)
+			} else {
+				s.Schedule(at, fire)
+			}
 		}
-		for i, e := range events {
-			if cancelMask&(1<<uint(i)) != 0 {
-				s.Cancel(e)
+		for i := range ks {
+			if canceled(i) {
+				ks[i].Cancel()
 			}
 		}
 		s.Run(2000)
@@ -354,7 +317,7 @@ func TestEventOrderProperty(t *testing.T) {
 		// Check the right number of events fired.
 		wantN := 0
 		for i := range times {
-			if cancelMask&(1<<uint(i)) == 0 {
+			if !canceled(i) {
 				wantN++
 			}
 		}
@@ -521,17 +484,6 @@ func TestSampleIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("SampleWithoutReplacementInto with adequate scratch allocates %v objects, want 0", allocs)
-	}
-}
-
-func TestEventAccessors(t *testing.T) {
-	s := New(1)
-	e := s.Schedule(42, func() {})
-	if e.At() != 42 {
-		t.Errorf("At() = %v, want 42", e.At())
-	}
-	if e.Canceled() {
-		t.Error("fresh event reports canceled")
 	}
 }
 

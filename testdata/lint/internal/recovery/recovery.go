@@ -1,20 +1,10 @@
 // Package recovery mirrors the repo's internal/recovery package path
 // through the default scope table: restart and replay are simulation
-// code, so the wall-clock ban and the event-retention contract apply —
-// recovery waits on simulated delays only, and a restart process may not
-// stash *sim.Event handles past their firing.
+// code, so the wall-clock ban applies — recovery waits on simulated
+// delays only.
 package recovery
 
-import (
-	"time"
-
-	"ddbm/internal/sim"
-)
-
-// restart is a shape-alike of the real per-node restart state.
-type restart struct {
-	repair *sim.Event // want "struct field retains"
-}
+import "time"
 
 // replayBad measures replay against the host clock instead of charging
 // simulated time; both reads are flagged.
@@ -29,7 +19,6 @@ func replayFine(records int, perRecordMs float64) float64 {
 }
 
 var (
-	_ = restart{}
 	_ = replayBad
 	_ = replayFine
 )

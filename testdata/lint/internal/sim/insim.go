@@ -1,6 +1,6 @@
 // Package insim stands in for the scheduler package: the fixture path
-// fixture/internal/sim is exempt from the goroutine and event-retention
-// checks, so nothing here is flagged.
+// fixture/internal/sim is exempt from the goroutine check, so nothing
+// here is flagged.
 package insim
 
 type resumable struct {
