@@ -57,8 +57,9 @@ go test -race -short ./...
 
 echo "== kernel benchmark smoke"
 # Raw events and the continuation handle every simulation process runs on:
-# a process hold and a mailbox round trip, one event per resumption.
-go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkContDelay|BenchmarkContMailbox' \
+# a process hold and a mailbox round trip, one event per resumption, and
+# the in-place move of a pending resumption (the CPU's next completion).
+go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkContDelay|BenchmarkContMailbox|BenchmarkContReschedule' \
   -benchtime 0.1s -benchmem ./internal/sim/
 
 echo "== lock-manager benchmark smoke"
@@ -117,13 +118,15 @@ go run ./cmd/ddbsim -simtime 60 -warmup 10 -think 4 -logging -mttf 20 >/dev/null
 
 echo "== benchmark-of-record smoke"
 # The benchmark's own fold tests, then its shortest run (a warm-up pass and
-# three measured passes) on baseline and observed at the seed whose Result
+# three measured passes) on every workload at the seed whose Result
 # fingerprints are recorded in _perfbench/fingerprints.json. The result
 # line must say correct: a fingerprint that drifted, an observed run whose
 # shared fields differ from baseline's, or a Chrome trace that fails its
-# structural check fails CI here as it fails the merge gate.
+# structural check fails CI here as it fails the merge gate. faults is the
+# one workload whose crash-stops cancel pending continuations, some of
+# them in the kernel's same-instant lane.
 (cd _perfbench && go test ./...)
-for workload in baseline observed; do
+for workload in baseline observed faults; do
   result=$(bash _perfbench/run.sh --workload "$workload" --seed 7 --seconds 0 --trace 0 2>/dev/null | tail -n 1)
   if [[ "$result" != *'"correct":true'* ]]; then
     echo "perfbench $workload at seed 7 is not correct: $result" >&2

@@ -300,27 +300,39 @@ func TestLockTableRandomOpsInvariants(t *testing.T) {
 		const nCohorts = 12
 		ok := true
 		check := func() {
-			for page, e := range lt.entries {
-				x := 0
-				holders := map[*CohortMeta]bool{}
-				for h := e.hhead; h != nil; h = h.next {
-					if h.mode == LockX {
-						x++
+			indexed := 0
+			for _, row := range lt.rows {
+				for _, e := range row {
+					if e == nil {
+						continue
 					}
-					if holders[h.co] {
-						t.Errorf("duplicate holder on %v", page)
+					indexed++
+					page := e.page
+					x := 0
+					holders := map[*CohortMeta]bool{}
+					for h := e.hhead; h != nil; h = h.next {
+						if h.mode == LockX {
+							x++
+						}
+						if holders[h.co] {
+							t.Errorf("duplicate holder on %v", page)
+							ok = false
+						}
+						holders[h.co] = true
+					}
+					if x > 1 {
+						t.Errorf("%d X holders on %v", x, page)
 						ok = false
 					}
-					holders[h.co] = true
+					if x == 1 && e.hlen != 1 {
+						t.Errorf("X shared with others on %v", page)
+						ok = false
+					}
 				}
-				if x > 1 {
-					t.Errorf("%d X holders on %v", x, page)
-					ok = false
-				}
-				if x == 1 && e.hlen != 1 {
-					t.Errorf("X shared with others on %v", page)
-					ok = false
-				}
+			}
+			if indexed != lt.Size() {
+				t.Errorf("Size() = %d, but %d pages are indexed", lt.Size(), indexed)
+				ok = false
 			}
 		}
 		var cohorts []*CohortMeta

@@ -27,22 +27,26 @@ import (
 // covered. Every protocol case additionally runs with the time-breakdown
 // accounting enabled: the ledger spends, folds, histogram adds and cause
 // tallies ride the same pinned path and must stay allocation-free too.
+// Wound-wait (the shared lock table under a second manager) and NO_DC
+// (the path with no data contention) run under logged 2PC. BTO, OPT and
+// O2PL still allocate in this window and are not pinned.
 func TestTxnPathAllocFree(t *testing.T) {
 	cases := []struct {
 		name      string
+		alg       cc.Kind
 		proto     commit.Kind
 		logging   bool
 		breakdown bool
 		armed     bool
 	}{
-		{"2PC-logging", commit.CentralizedTwoPC, true, false, false},
-		{"PA-logging", commit.PresumedAbort, true, false, false},
-		{"PC-logging", commit.PresumedCommit, true, false, false},
-		{"2PC-nologging", commit.CentralizedTwoPC, false, false, false},
-		{"2PC-logging-breakdown", commit.CentralizedTwoPC, true, true, false},
-		{"PA-logging-breakdown", commit.PresumedAbort, true, true, false},
-		{"PC-logging-breakdown", commit.PresumedCommit, true, true, false},
-		{"2PC-nologging-breakdown", commit.CentralizedTwoPC, false, true, false},
+		{"2PC-logging", cc.TwoPL, commit.CentralizedTwoPC, true, false, false},
+		{"PA-logging", cc.TwoPL, commit.PresumedAbort, true, false, false},
+		{"PC-logging", cc.TwoPL, commit.PresumedCommit, true, false, false},
+		{"2PC-nologging", cc.TwoPL, commit.CentralizedTwoPC, false, false, false},
+		{"2PC-logging-breakdown", cc.TwoPL, commit.CentralizedTwoPC, true, true, false},
+		{"PA-logging-breakdown", cc.TwoPL, commit.PresumedAbort, true, true, false},
+		{"PC-logging-breakdown", cc.TwoPL, commit.PresumedCommit, true, true, false},
+		{"2PC-nologging-breakdown", cc.TwoPL, commit.CentralizedTwoPC, false, true, false},
 		// The armed case pins the fault seams themselves: with an injector
 		// built but its schedule never firing, the per-attempt and
 		// per-cohort registries, in-doubt windows and simulated WAL all
@@ -50,11 +54,13 @@ func TestTxnPathAllocFree(t *testing.T) {
 		// state once grown to their high-water marks. (The disabled cases
 		// above pin the nil-injector path: Config.Faults zero means no
 		// fault state exists at all.)
-		{"2PC-logging-faults-armed", commit.CentralizedTwoPC, true, false, true},
+		{"2PC-logging-faults-armed", cc.TwoPL, commit.CentralizedTwoPC, true, false, true},
+		{"WW-2PC-logging", cc.WoundWait, commit.CentralizedTwoPC, true, false, false},
+		{"NO_DC-2PC-logging", cc.NoDC, commit.CentralizedTwoPC, true, false, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig(cc.TwoPL)
+			cfg := testConfig(tc.alg)
 			cfg.CommitProtocol = tc.proto
 			cfg.ModelLogging = tc.logging
 			cfg.Breakdown = tc.breakdown

@@ -308,20 +308,24 @@ func TestActiveTxnsBounded(t *testing.T) {
 	}
 }
 
-// settledGoroutines returns the goroutine count once it holds still for
-// a millisecond. The testing package starts a test as soon as the one
-// before it signals completion, while that test's goroutine may still be
-// finishing; counted in a before-snapshot, it would later look like a
-// goroutine the run ended.
+// settledGoroutines returns the goroutine count once it has held still
+// for ten reads a millisecond apart (giving up after a second). The
+// testing package starts a test as soon as the one before it signals
+// completion, while that test's goroutine may still be finishing;
+// counted in a before-snapshot, it would later look like a goroutine the
+// run ended. When other test binaries keep the host's CPUs busy, that
+// goroutine can wait several milliseconds to be scheduled, so a single
+// quiet millisecond does not show it has gone.
 func settledGoroutines() int {
 	n := runtime.NumGoroutine()
-	for deadline := time.Now().Add(time.Second); time.Now().Before(deadline); {
+	for still, deadline := 0, time.Now().Add(time.Second); still < 10 && time.Now().Before(deadline); {
+		runtime.Gosched()
 		time.Sleep(time.Millisecond)
-		m := runtime.NumGoroutine()
-		if m == n {
-			break
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
 		}
-		n = m
 	}
 	return n
 }

@@ -64,8 +64,8 @@ type CPU struct {
 
 	lastT sim.Time
 	// next resumes complete when the earliest job is due; reschedule
-	// cancels and re-delays it on every state change. Like every pending
-	// continuation, it leaves the queue when Sim.Run returns.
+	// moves it on every state change. Like every pending continuation, it
+	// leaves the queue when Sim.Run returns.
 	next sim.Cont
 
 	busyPS  float64 // ms spent on processor-sharing work
@@ -244,11 +244,11 @@ func (c *CPU) advance() {
 	}
 }
 
-// reschedule recomputes the next completion event.
+// reschedule moves the next completion event to the earliest job's
+// finish time, in place; an idle CPU has none.
 //
 //ddbmlint:hotpath completion scheduling on every CPU state change
 func (c *CPU) reschedule() {
-	c.next.Cancel()
 	var dt float64
 	switch {
 	case c.msgLen > 0:
@@ -262,9 +262,10 @@ func (c *CPU) reschedule() {
 		}
 		dt = min * float64(len(c.ps)) / c.rate
 	default:
+		c.next.Cancel()
 		return
 	}
-	c.next.Delay(dt)
+	c.next.Reschedule(dt)
 }
 
 // complete fires when the earliest job should have finished. Finished jobs

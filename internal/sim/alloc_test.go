@@ -46,6 +46,27 @@ func TestDelayAllocFree(t *testing.T) {
 	}
 }
 
+// TestRescheduleAllocFree: moving a pending resumption — the CPU's next
+// completion on every arrival — re-keys the handle's own event in place
+// and allocates nothing, whether the target is later, earlier, or now.
+func TestRescheduleAllocFree(t *testing.T) {
+	s := New(1)
+	var k Cont
+	k.Init(s, func() {})
+	k.Delay(1)
+	s.Step(math.MaxFloat64)
+	allocs := testing.AllocsPerRun(200, func() {
+		k.Delay(5)
+		k.Reschedule(8)
+		k.Reschedule(2)
+		k.Reschedule(0)
+		s.Step(math.MaxFloat64)
+	})
+	if allocs != 0 {
+		t.Errorf("Delay+Reschedule+fire allocates %v objects per cycle, want 0", allocs)
+	}
+}
+
 // TestSuspendResumeAllocFree: a process that waits with nothing scheduled
 // and is resumed by another event — the path resource completions, lock
 // grants and mailbox wakeups ride — allocates nothing per cycle, and

@@ -28,21 +28,16 @@ func UniformInt(r *rand.Rand, lo, hi int) int {
 	return lo + r.Intn(hi-lo+1)
 }
 
-// SampleWithoutReplacement returns k distinct integers from [0, n) in random
-// order. If k >= n it returns a permutation of all n values.
-func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
-	return SampleWithoutReplacementInto(r, n, k, nil)
-}
-
-// SampleWithoutReplacementInto is SampleWithoutReplacement with a
-// caller-provided scratch buffer: the returned slice aliases scratch when it
-// has capacity n, so a hot caller (the workload generator draws a sample per
-// partition per transaction) allocates nothing in steady state.
+// SampleWithoutReplacementInto returns k distinct integers from [0, n) in
+// random order; if k >= n it returns a permutation of all n values. The
+// result aliases scratch when scratch has capacity n, so a hot caller (the
+// workload generator draws a sample per partition per transaction)
+// allocates nothing in steady state; a nil scratch allocates one.
 //
 // It consumes exactly the same randomness as rand.Perm(n) — n Intn draws,
 // including the degenerate Intn(1) at i=0, which rand.Perm keeps for Go 1
-// stream compatibility — so swapping it in for SampleWithoutReplacement
-// cannot perturb a seeded run (TestSampleIntoMatchesPermStream pins this).
+// stream compatibility — so a seeded run draws the same pages as one that
+// called rand.Perm (TestSampleIntoMatchesPermStream pins this).
 func SampleWithoutReplacementInto(r *rand.Rand, n, k int, scratch []int) []int {
 	if k > n {
 		k = n

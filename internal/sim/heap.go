@@ -36,7 +36,8 @@ func (q *eventQueue) push(e *event) {
 	q.siftUp(len(q.items) - 1)
 }
 
-// pop removes and returns the earliest event. Its index is set to -1.
+// pop removes and returns the earliest event. Its index is set to
+// notQueued.
 func (q *eventQueue) pop() *event {
 	items := q.items
 	e := items[0]
@@ -44,7 +45,7 @@ func (q *eventQueue) pop() *event {
 	last := items[n]
 	items[n] = nil
 	q.items = items[:n]
-	e.index = -1
+	e.index = notQueued
 	if n > 0 {
 		last.index = 0
 		q.items[0] = last
@@ -53,13 +54,23 @@ func (q *eventQueue) pop() *event {
 	return e
 }
 
+// fix restores the heap order after the key of the event at index i
+// changed (Cont.Reschedule): one sift, up or down.
+func (q *eventQueue) fix(i int) {
+	if i > 0 && eventBefore(q.items[i], q.items[(i-1)>>2]) {
+		q.siftUp(i)
+		return
+	}
+	q.siftDown(i)
+}
+
 // remove deletes the event at heap index i (used by Cont.Cancel). The
-// displaced tail element is sifted in both directions because it may
-// violate the heap property either way relative to its new position.
+// displaced tail element may violate the heap property either way
+// relative to its new position, so fix sifts it up or down.
 func (q *eventQueue) remove(i int) {
 	items := q.items
 	n := len(items) - 1
-	items[i].index = -1
+	items[i].index = notQueued
 	last := items[n]
 	items[n] = nil
 	q.items = items[:n]
@@ -68,8 +79,7 @@ func (q *eventQueue) remove(i int) {
 	}
 	last.index = i
 	q.items[i] = last
-	q.siftDown(i)
-	q.siftUp(i)
+	q.fix(i)
 }
 
 func (q *eventQueue) siftUp(i int) {

@@ -34,6 +34,33 @@ func BenchmarkContDelay(b *testing.B) {
 	s.Run(Time(b.N) + 2)
 }
 
+// BenchmarkContReschedule measures moving a pending resumption, as the
+// CPU moves its next completion on every arrival: an in-place re-key
+// among 64 other pending processes, each of which delays itself again
+// when it fires; every 64th re-key the earliest event fires.
+func BenchmarkContReschedule(b *testing.B) {
+	s := New(1)
+	var ks [64]Cont
+	for i := range ks {
+		k := &ks[i]
+		k.Init(s, func() { k.Delay(64) })
+		k.Delay(Time(i + 1))
+	}
+	var k Cont
+	k.Init(s, func() {})
+	k.Delay(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Reschedule(Time(i%97) + 0.5)
+		if i%64 == 63 {
+			s.Step(s.Now() + 1000)
+			if !k.Pending() {
+				k.Delay(1)
+			}
+		}
+	}
+}
+
 // BenchmarkContMailbox measures send+receive round trips between two
 // processes: a sender that delays between sends and a receiver that waits
 // on the mailbox.

@@ -420,7 +420,7 @@ func TestSampleWithoutReplacement(t *testing.T) {
 	f := func(n8, k8 uint8) bool {
 		n := int(n8%50) + 1
 		k := int(k8 % 60)
-		s := SampleWithoutReplacement(r, n, k)
+		s := SampleWithoutReplacementInto(r, n, k, nil)
 		want := k
 		if want > n {
 			want = n
