@@ -78,19 +78,47 @@ echo "== transaction-path allocation pin"
 go test -run 'TestTxnPathAllocFree' -count=1 ./internal/core/
 
 echo "== commit-protocol sweep smoke"
-# All three 2PC variants end-to-end at a tiny time scale: a wedged protocol
-# (lost vote, missing ack) deadlocks the simulation and fails loudly here.
+# All three 2PC variants end to end at a tiny time scale. This catches a
+# protocol path that panics or a configuration the sweep can no longer
+# build. It does not catch a wedged protocol (a lost vote, a missing ack):
+# a wedged attempt only parks its terminal while the run goes on, so the
+# sweep still exits 0 with lower throughput. The progress watchdog of
+# ROADMAP item 5 is what will make a wedge fail here.
 go run ./cmd/experiments -fig cps -scale 0.02 -q
 
 echo "== trace smoke"
 # A short traced + probed run must export a structurally valid Chrome
 # trace: JSON parses, spans nest, cohort/commit-phase spans sit under
-# their attempt. tracecheck exits non-zero on any violation.
+# their attempt. tracecheck exits non-zero on any violation. The same run
+# exported as JSONL must read back whole: tracecheck decodes every line,
+# and the event count must be the one ddbsim recorded. ddbsim -trace 20
+# must print 20 life-cycle lines from the trace log.
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
 go run ./cmd/ddbsim -simtime 30 -warmup 5 -think 4 \
   -trace-out "$tracedir/smoke.json" -probe-interval 100 >/dev/null
 go run ./cmd/tracecheck "$tracedir/smoke.json"
+recorded=$(go run ./cmd/ddbsim -simtime 30 -warmup 5 -think 4 -trace-out "$tracedir/smoke.jsonl" |
+  awk '$1 == "trace" { print $2 }')
+readback=$(go run ./cmd/tracecheck "$tracedir/smoke.jsonl")
+if [[ -z "$recorded" || "$readback" != *"ok ($recorded events,"* ]]; then
+  echo "JSONL trace of $recorded events read back as: $readback" >&2
+  exit 1
+fi
+lifecycle=$(go run ./cmd/ddbsim -trace 20 -simtime 30 -warmup 5 -think 4 -seed 7 | grep -c ' txn ')
+if [[ "$lifecycle" != 20 ]]; then
+  echo "ddbsim -trace 20 printed $lifecycle life-cycle lines" >&2
+  exit 1
+fi
+
+echo "== obs smoke"
+# The trace log's pins: a nil tracer allocates nothing, recording
+# allocates only whole chunks, the stored record stays pointer-free, and
+# the direct Chrome encoder renders byte for byte what encoding/json
+# renders. Then the recording and export benchmarks, as a smoke.
+go test -count=1 \
+  -run 'TestDisabledTracerZeroAllocs|TestEnabledSteadyStateAllocs|TestRecordPointerFree|TestChromeEncoderMatchesReference' \
+  -bench 'BenchmarkTracerRecord|BenchmarkWriteChromeTrace' -benchtime 0.1s -benchmem ./internal/obs/
 
 echo "== breakdown smoke"
 # Time-breakdown accounting end to end: the reconciliation property pins
@@ -108,9 +136,11 @@ echo "== fault-tolerance smoke"
 # The fault subsystem end to end: a race pass over the injector and the
 # recovery machinery, the fault property tests (stream isolation, crash
 # recovery under every protocol, cause accounting, golden-trace bit
-# identity), then the Ext K mini-grid — a wedged crash path (a coordinator
-# parked on a dead cohort, a restart that never rejoins) deadlocks the
-# simulation and fails loudly here.
+# identity), then the Ext K mini-grid and a crashy logged run, which catch
+# a crash or recovery path that panics. A wedged crash path (a
+# coordinator parked on a dead cohort, a restart that never rejoins) is
+# not caught here: it parks a terminal, the run goes on and exits 0.
+# That waits on the progress watchdog of ROADMAP item 5.
 go test -race -count=1 ./internal/fault/ ./internal/recovery/
 go test -run 'TestFault' -count=1 ./internal/core/
 go run ./cmd/experiments -fig ft -scale 0.02 -q >/dev/null

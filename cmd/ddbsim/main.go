@@ -127,17 +127,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if *trace > 0 {
-		remaining := *trace
-		m.ObserveTxns(func(e ddbm.TxnEvent) {
-			if remaining > 0 {
-				fmt.Println(e)
-				remaining--
-			}
-		})
-	}
 	var tracer *ddbm.Tracer
-	if *traceOut != "" {
+	if *trace > 0 || *traceOut != "" {
 		tracer = m.EnableTracing()
 	}
 	var series *ddbm.TimeSeries
@@ -174,6 +165,9 @@ func main() {
 		f.Close()
 	}
 
+	if *trace > 0 {
+		printLifecycle(tracer.Events(), *trace)
+	}
 	fmt.Printf("algorithm            %v (%s execution, %v commit)\n", cfg.Algorithm, cfg.ExecPattern, cfg.CommitProtocol)
 	fmt.Printf("machine              1 host (%.0f MIPS) + %d nodes (%.0f MIPS, %d disks each)\n",
 		cfg.HostMIPS, cfg.NumProcNodes, cfg.ProcMIPS, cfg.NumDisks)
@@ -231,7 +225,7 @@ func main() {
 		fmt.Printf("breakdown detail     %d phase rows, %d cause rows -> %s\n",
 			len(snap.Phases), len(snap.Causes), *breakdownOut)
 	}
-	if tracer != nil {
+	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -272,6 +266,24 @@ func main() {
 			}
 			fmt.Printf("  %s\n", v)
 		}
+	}
+}
+
+// printLifecycle prints the first n transaction life-cycle instants of
+// the trace, one line each: simulated time, transaction, attempt, event
+// and, in parentheses, its detail (an abort reason, a decision).
+func printLifecycle(log *ddbm.TraceLog, n int) {
+	for i := 0; i < log.Len() && n > 0; i++ {
+		e := log.At(i)
+		if !e.Lifecycle() {
+			continue
+		}
+		line := fmt.Sprintf("%10.1fms txn %-6d #%d %s", e.Start, e.Txn, e.Attempt, e.Name)
+		if e.Detail != "" {
+			line += " (" + e.Detail + ")"
+		}
+		fmt.Println(line)
+		n--
 	}
 }
 

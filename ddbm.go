@@ -118,33 +118,12 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func Run(cfg Config) (Result, error) { return core.Run(cfg) }
 
 // Machine is an assembled database machine; use it instead of Run when you
-// need to attach observers (Machine.ObserveTxns / Machine.TraceTxns)
-// before running.
+// need to enable tracing or probes before running, or read the trace,
+// probes or breakdown snapshot after.
 type Machine = core.Machine
 
-// TxnEvent is one transaction life-cycle observation; see
-// Machine.ObserveTxns.
-type TxnEvent = core.TxnEvent
-
-// Transaction life-cycle event kinds.
-const (
-	// TxnSubmitted: a terminal submitted a new transaction.
-	TxnSubmitted = core.TxnSubmitted
-	// TxnAttemptStarted: an execution attempt began.
-	TxnAttemptStarted = core.TxnAttemptStarted
-	// TxnAttemptAborted: the attempt aborted.
-	TxnAttemptAborted = core.TxnAttemptAborted
-	// TxnCommitted: the commit decision was made.
-	TxnCommitted = core.TxnCommitted
-	// TxnPrepared: every cohort voted yes in the first commit phase.
-	TxnPrepared = core.TxnPrepared
-	// TxnDecided: the commit protocol resolved the attempt ("commit" or
-	// "abort" in Detail).
-	TxnDecided = core.TxnDecided
-)
-
 // NewMachine builds (but does not run) a machine, for callers that attach
-// observers; call its Run method to simulate.
+// a tracer or probes; call its Run method to simulate.
 func NewMachine(cfg Config) (*Machine, error) { return core.NewMachine(cfg) }
 
 // Tracer records spans and instant events in simulated time; obtain one
@@ -152,7 +131,11 @@ func NewMachine(cfg Config) (*Machine, error) { return core.NewMachine(cfg) }
 // state and costs nothing on the simulation's hot paths.
 type Tracer = obs.Tracer
 
-// TraceEvent is one recorded observation (a span or an instant).
+// TraceLog is a tracer's recorded events (Tracer.Events); At decodes one.
+type TraceLog = obs.Log
+
+// TraceEvent is one recorded observation (a span or an instant), as
+// TraceLog.At decodes it.
 type TraceEvent = obs.Event
 
 // TimeSeries holds the periodic probe samples of per-node gauges; obtain
@@ -161,14 +144,17 @@ type TimeSeries = obs.TimeSeries
 
 // WriteChromeTrace renders trace events as Chrome trace-event JSON
 // (loadable in Perfetto / chrome://tracing); host is the host node's id.
-func WriteChromeTrace(w io.Writer, events []TraceEvent, host int) error {
+func WriteChromeTrace(w io.Writer, events *TraceLog, host int) error {
 	return obs.WriteChromeTrace(w, events, host)
 }
 
 // WriteTraceJSONL renders trace events as a flat JSONL stream.
-func WriteTraceJSONL(w io.Writer, events []TraceEvent) error {
+func WriteTraceJSONL(w io.Writer, events *TraceLog) error {
 	return obs.WriteJSONL(w, events)
 }
+
+// ReadTraceJSONL decodes a WriteTraceJSONL stream.
+func ReadTraceJSONL(r io.Reader) ([]TraceEvent, error) { return obs.ReadJSONL(r) }
 
 // CheckChromeTrace structurally validates WriteChromeTrace output (JSON
 // parses, spans nest, cohort/commit-phase spans sit under their attempt).

@@ -27,9 +27,10 @@ import (
 // covered. Every protocol case additionally runs with the time-breakdown
 // accounting enabled: the ledger spends, folds, histogram adds and cause
 // tallies ride the same pinned path and must stay allocation-free too.
-// Wound-wait (the shared lock table under a second manager) and NO_DC
-// (the path with no data contention) run under logged 2PC. BTO, OPT and
-// O2PL still allocate in this window and are not pinned.
+// Wound-wait (the shared lock table under a second manager), O2PL (the
+// deferred write locks of commit phase one) and NO_DC (the path with no
+// data contention) run under logged 2PC. Only BTO and OPT still allocate
+// in this window and are not pinned.
 func TestTxnPathAllocFree(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -56,6 +57,7 @@ func TestTxnPathAllocFree(t *testing.T) {
 		// fault state exists at all.)
 		{"2PC-logging-faults-armed", cc.TwoPL, commit.CentralizedTwoPC, true, false, true},
 		{"WW-2PC-logging", cc.WoundWait, commit.CentralizedTwoPC, true, false, false},
+		{"O2PL-2PC-logging", cc.O2PL, commit.CentralizedTwoPC, true, false, false},
 		{"NO_DC-2PC-logging", cc.NoDC, commit.CentralizedTwoPC, true, false, false},
 	}
 	for _, tc := range cases {

@@ -108,13 +108,14 @@ func TestCommitProtocolDecisionsUncontended(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := m.EnableTracing()
+			m.Run()
 			var stream []string
-			m.ObserveTxns(func(e TxnEvent) {
-				if e.Kind == TxnDecided {
+			for _, e := range lifecycleEvents(tr) {
+				if e.Name == "decided" {
 					stream = append(stream, fmt.Sprintf("%d/%d %s", e.Txn, e.Attempt, e.Detail))
 				}
-			})
-			m.Run()
+			}
 			if len(stream) < 50 {
 				t.Fatalf("%v/%v: only %d decisions", alg, proto, len(stream))
 			}
@@ -216,30 +217,31 @@ func TestPreparedDecidedEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := m.EnableTracing()
+	m.Run()
 	type state struct{ prepared, decided bool }
 	open := map[int64]*state{}
 	committed := 0
-	m.ObserveTxns(func(e TxnEvent) {
-		switch e.Kind {
-		case TxnAttemptStarted:
+	for _, e := range lifecycleEvents(tr) {
+		switch e.Name {
+		case "attempt":
 			open[e.Txn] = &state{}
-		case TxnPrepared:
+		case "prepared":
 			open[e.Txn].prepared = true
-		case TxnDecided:
+		case "decided":
 			st := open[e.Txn]
 			if e.Detail == "commit" && !st.prepared {
 				t.Errorf("txn %d decided commit without preparing", e.Txn)
 			}
 			st.decided = true
-		case TxnCommitted:
+		case "committed":
 			st := open[e.Txn]
 			if !st.prepared || !st.decided {
 				t.Errorf("txn %d committed without prepared+decided", e.Txn)
 			}
 			committed++
 		}
-	})
-	m.Run()
+	}
 	if committed < 20 {
 		t.Fatalf("only %d commits observed", committed)
 	}

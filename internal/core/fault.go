@@ -179,7 +179,7 @@ func (f *faultState) resolveRun(c *cohortRun) {
 			f.inDoubtMs += float64(f.m.sim.Now() - c.inDoubtAt)
 			f.inDoubtWindows++
 		}
-		f.m.tracer.Complete(obs.KindFault, "in-doubt", c.meta.Node, c.meta.Txn.ID, c.attempt, c.inDoubtAt)
+		f.m.tracer.Complete(obs.KindFault, obs.NameInDoubt, c.meta.Node, c.meta.Txn.ID, c.attempt, c.inDoubtAt)
 	}
 	f.deregister(c)
 }
@@ -236,7 +236,7 @@ func (f *faultState) anyPlanNodeDown(a *attemptState) bool {
 func (f *faultState) CrashNode(n int) {
 	m := f.m
 	f.downSince[n] = m.sim.Now()
-	m.tracer.Instant("crash", n, 0, 0, "")
+	m.tracer.Instant(obs.NameCrash, n, 0, 0, "")
 	m.cpus[n].Crash()
 	m.disks[n].Crash()
 	// Dead-mark every live attempt's cohort at this node first: a
@@ -348,7 +348,7 @@ func (f *faultState) RecoverNode(n int) {
 	r := &f.recs[n]
 	r.repairAt = m.sim.Now()
 	r.replayed = false
-	m.tracer.Complete(obs.KindFault, "down", n, 0, 0, f.downSince[n])
+	m.tracer.Complete(obs.KindFault, obs.NameDown, n, 0, 0, f.downSince[n])
 	r.k.Resume()
 }
 
@@ -401,7 +401,7 @@ func (r *nodeRecovery) step() {
 		}
 	}
 	f.recoveryMs += float64(m.sim.Now() - r.repairAt)
-	m.tracer.Complete(obs.KindFault, "recovery", n, 0, 0, r.repairAt)
+	m.tracer.Complete(obs.KindFault, obs.NameRecovery, n, 0, 0, r.repairAt)
 	f.inj.NodeUp(n)
 }
 
@@ -440,7 +440,7 @@ func (f *faultState) resolveResident(c *cohortRun, committed bool) {
 // recovery. No cohort state is lost — the host stays up for messaging.
 func (f *faultState) CrashHost() {
 	m := f.m
-	m.tracer.Instant("host-crash", m.hostID, 0, 0, "")
+	m.tracer.Instant(obs.NameHostCrash, m.hostID, 0, 0, "")
 	for i := len(f.liveAttempts) - 1; i >= 0; i-- {
 		a := f.liveAttempts[i]
 		a.meta.RequestAbort(m.hostID, "coordinator crash", cc.CauseCoordinatorCrash)

@@ -285,8 +285,8 @@ func TestFaultTraceHasFaultSpans(t *testing.T) {
 	tr := m.EnableTracing()
 	m.Run()
 	names := map[string]int{}
-	for _, ev := range tr.Events() {
-		if ev.Kind == obs.KindFault || ev.Name == "crash" {
+	for i := 0; i < tr.Len(); i++ {
+		if ev := tr.Events().At(i); ev.Kind == obs.KindFault || ev.Name == "crash" {
 			names[ev.Name]++
 		}
 	}

@@ -330,29 +330,31 @@ func settledGoroutines() int {
 	return n
 }
 
-// TestNoGoroutineLeaks: Run starts no goroutine — every simulation
+// TestNoGoroutineLeaks: a run starts no goroutine — every simulation
 // process is a continuation on the caller's goroutine — so the goroutine
-// count read mid-run, from inside a life-cycle observer, and after the
-// run equals the count before it.
+// count read between any two events mid-run, and after the run, equals
+// the count before it.
 func TestNoGoroutineLeaks(t *testing.T) {
 	m, err := NewMachine(testConfig(cc.TwoPL))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := settledGoroutines()
-	observed, mismatched := 0, 0
-	m.ObserveTxns(func(TxnEvent) {
-		observed++
+	s := m.Sim()
+	m.Start()
+	steps, mismatched := 0, 0
+	for s.Step(m.cfg.SimTimeMs) {
+		steps++
 		if runtime.NumGoroutine() != before {
 			mismatched++
 		}
-	})
-	m.Run()
-	if observed == 0 {
-		t.Fatal("the observer never ran")
+	}
+	s.Run(m.cfg.SimTimeMs)
+	if m.stats.commits == 0 {
+		t.Fatal("the run committed nothing")
 	}
 	if mismatched != 0 {
-		t.Errorf("goroutine count differed from %d at %d of %d observations mid-run", before, mismatched, observed)
+		t.Errorf("goroutine count differed from %d after %d of %d events mid-run", before, mismatched, steps)
 	}
 	if n := runtime.NumGoroutine(); n != before {
 		t.Errorf("%d goroutines after Run, %d before", n, before)

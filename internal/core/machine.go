@@ -37,7 +37,6 @@ type Machine struct {
 	gen       *workload.Generator
 	stats     *statsCollector
 	rec       *audit.Recorder // non-nil when cfg.Audit
-	observer  func(TxnEvent)
 
 	// Observability (all nil/zero unless explicitly enabled; the disabled
 	// state is the existing fast path). activeCohorts is allocated — and
@@ -70,6 +69,10 @@ type Machine struct {
 	terms        []terminal
 	attemptFree  []*attemptState
 	writeBackFns []func()
+	// deferredCap is the capacity each pooled cohort run's Deferred buffer
+	// gets under the deferred-lock variants (O2PL, DeferRemoteWriteLocks):
+	// every access a cohort can be planned with. 0 otherwise.
+	deferredCap int
 
 	// ft is the fault/recovery state (nil unless cfg.Faults.Enabled; the
 	// nil state is the existing fault-free fast path).
@@ -215,6 +218,9 @@ func NewMachine(cfg Config) (*Machine, error) {
 		m.algo = nodc.New()
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
+	}
+	if cfg.Algorithm == cc.O2PL || cfg.DeferRemoteWriteLocks {
+		m.deferredCap = m.gen.MaxAccessesPerCohort()
 	}
 	if a, ok := m.algo.(*twopl.Algorithm); ok {
 		a.MaxTxns = cfg.NumTerminals

@@ -79,7 +79,8 @@ func TestTraceStructure(t *testing.T) {
 
 	kinds := map[obs.Kind]bool{}
 	names := map[string]bool{}
-	for _, e := range tr.Events() {
+	for i := 0; i < tr.Len(); i++ {
+		e := tr.Events().At(i)
 		kinds[e.Kind] = true
 		names[e.Name] = true
 	}
@@ -215,8 +216,8 @@ func TestTraceAttemptsOnOwnTracks(t *testing.T) {
 	tr := m.EnableTracing()
 	m.Run()
 	restarted := 0
-	for _, e := range tr.Events() {
-		if e.Kind == obs.KindCohort && e.Attempt > 1 {
+	for i := 0; i < tr.Len(); i++ {
+		if e := tr.Events().At(i); e.Kind == obs.KindCohort && e.Attempt > 1 {
 			restarted++
 		}
 	}
@@ -250,7 +251,11 @@ func TestMachineTraceJSONLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, tr.Events()) {
+	want := make([]obs.Event, tr.Len())
+	for i := range want {
+		want[i] = tr.Events().At(i)
+	}
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("JSONL round trip of a machine trace lost information")
 	}
 }

@@ -27,7 +27,7 @@ func (*msgAbortNotice) CommitAbortSignal() {}
 type protocolEnv struct {
 	m *Machine
 	a *attemptState // owning attempt, set once at pool growth
-	// txn and attempt identify the attempt for the life-cycle observer.
+	// txn and attempt identify the attempt in the life-cycle instants.
 	txn     int64
 	attempt int
 	// runs carries the core-side cohort state (plans, audit reads) in the
@@ -137,9 +137,9 @@ func (e *protocolEnv) RecordCommit() {
 func (e *protocolEnv) Prepared() {
 	e.a.bd.Spend(e.m.sim.Now(), obs.PhasePrepare)
 	e.prepared = true
-	e.m.lifecycle(TxnPrepared, e.txn, e.attempt, "")
+	e.m.tracer.Instant(obs.NamePrepared, e.m.hostID, e.txn, e.attempt, "")
 	if tr := e.m.tracer; tr != nil {
-		tr.Complete(obs.KindCommitPhase, "prepare", e.m.hostID, e.txn, e.attempt, e.phaseAt)
+		tr.Complete(obs.KindCommitPhase, obs.NamePrepare, e.m.hostID, e.txn, e.attempt, e.phaseAt)
 		e.phaseAt = e.m.sim.Now()
 	}
 }
@@ -155,12 +155,12 @@ func (e *protocolEnv) Decided(committed bool) {
 	if !committed {
 		detail = "abort"
 	}
-	e.m.lifecycle(TxnDecided, e.txn, e.attempt, detail)
+	e.m.tracer.Instant(obs.NameDecided, e.m.hostID, e.txn, e.attempt, detail)
 	if e.m.ft != nil {
 		e.m.ft.noteDecision(e.runs, committed)
 	}
 	if tr := e.m.tracer; tr != nil {
-		tr.Complete(obs.KindCommitPhase, "decide", e.m.hostID, e.txn, e.attempt, e.phaseAt)
+		tr.Complete(obs.KindCommitPhase, obs.NameDecide, e.m.hostID, e.txn, e.attempt, e.phaseAt)
 		e.phaseAt = e.m.sim.Now()
 	}
 }

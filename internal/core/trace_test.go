@@ -1,12 +1,28 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"ddbm/internal/cc"
+	"ddbm/internal/obs"
 )
 
+// lifecycleEvents decodes the transaction life-cycle instants of a trace,
+// in recording order.
+func lifecycleEvents(tr *obs.Tracer) []obs.Event {
+	log := tr.Events()
+	var out []obs.Event
+	for i := 0; i < log.Len(); i++ {
+		if e := log.At(i); e.Lifecycle() {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// The life-cycle instants in the trace log tell each transaction's story
+// in order: submitted first, attempts numbered from 1, an abort (with its
+// reason) before the next attempt, committed last when present.
 func TestTxnObserverLifecycle(t *testing.T) {
 	cfg := testConfig(cc.TwoPL)
 	cfg.PagesPerFile = 40
@@ -15,120 +31,52 @@ func TestTxnObserverLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var events []TxnEvent
-	m.ObserveTxns(func(e TxnEvent) { events = append(events, e) })
+	tr := m.EnableTracing()
 	res := m.Run()
 	if res.Commits == 0 {
 		t.Fatal("no commits")
 	}
 
-	// Per transaction: submitted first, attempts numbered from 1,
-	// aborts precede the next attempt, committed last (when present).
-	perTxn := map[int64][]TxnEvent{}
-	for _, e := range events {
-		if e.Time < 0 {
+	perTxn := map[int64][]obs.Event{}
+	for _, e := range lifecycleEvents(tr) {
+		if e.Start < 0 {
 			t.Fatal("negative event time")
+		}
+		if e.Node != m.hostID {
+			t.Fatalf("life-cycle instant %q at node %d, want the host", e.Name, e.Node)
 		}
 		perTxn[e.Txn] = append(perTxn[e.Txn], e)
 	}
 	committed := 0
 	aborted := 0
 	for id, evs := range perTxn {
-		if evs[0].Kind != TxnSubmitted {
-			t.Fatalf("txn %d first event %v, want submitted", id, evs[0].Kind)
+		if evs[0].Name != "submitted" {
+			t.Fatalf("txn %d first event %v, want submitted", id, evs[0].Name)
 		}
 		attempt := 0
 		for _, e := range evs[1:] {
-			switch e.Kind {
-			case TxnAttemptStarted:
+			switch e.Name {
+			case "attempt":
 				attempt++
 				if e.Attempt != attempt {
 					t.Fatalf("txn %d attempt numbering %d, want %d", id, e.Attempt, attempt)
 				}
-			case TxnAttemptAborted:
+			case "aborted":
 				aborted++
 				if e.Detail == "" {
 					t.Fatalf("txn %d abort without a reason", id)
 				}
-			case TxnCommitted:
+			case "committed":
 				committed++
-			case TxnSubmitted:
+			case "submitted":
 				t.Fatalf("txn %d submitted twice", id)
 			}
 		}
 	}
 	if committed == 0 {
-		t.Fatal("observer saw no commits")
+		t.Fatal("the trace shows no commits")
 	}
 	if aborted == 0 {
-		t.Fatal("observer saw no aborts under heavy contention")
-	}
-}
-
-func TestTraceTxnsWrites(t *testing.T) {
-	cfg := testConfig(cc.NoDC)
-	cfg.NumTerminals = 1
-	cfg.SimTimeMs = 5000
-	cfg.WarmupMs = 500
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	m.TraceTxns(&sb)
-	m.Run()
-	out := sb.String()
-	for _, want := range []string{"submitted", "attempt", "committed", "txn"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %q:\n%.300s", want, out)
-		}
-	}
-}
-
-func TestObserverNilSafe(t *testing.T) {
-	cfg := testConfig(cc.NoDC)
-	cfg.NumTerminals = 1
-	cfg.SimTimeMs = 3000
-	cfg.WarmupMs = 300
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.ObserveTxns(func(TxnEvent) {})
-	m.ObserveTxns(nil) // removal
-	m.Run()
-}
-
-func TestTxnEventStrings(t *testing.T) {
-	e := TxnEvent{Time: 1234.5, Txn: 7, Attempt: 2, Kind: TxnAttemptAborted, Detail: "wounded"}
-	s := e.String()
-	for _, want := range []string{"txn 7", "#2", "aborted", "wounded"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("event string %q missing %q", s, want)
-		}
-	}
-	if TxnEventKind(99).String() == "" {
-		t.Error("unknown kind renders empty")
-	}
-}
-
-// The String fallback must hold on both sides of the name table — a
-// negative kind must not panic the table lookup, and the fallback must
-// flow through TxnEvent.String too.
-func TestTxnEventKindStringFallback(t *testing.T) {
-	if got := TxnEventKind(99).String(); got != "TxnEventKind(99)" {
-		t.Errorf("out-of-range kind = %q, want TxnEventKind(99)", got)
-	}
-	if got := TxnEventKind(-3).String(); got != "TxnEventKind(-3)" {
-		t.Errorf("negative kind = %q, want TxnEventKind(-3)", got)
-	}
-	s := TxnEvent{Time: 1, Txn: 2, Attempt: 1, Kind: TxnEventKind(42)}.String()
-	if !strings.Contains(s, "TxnEventKind(42)") {
-		t.Errorf("event string %q does not surface the fallback kind", s)
-	}
-	for k := TxnSubmitted; k <= TxnDecided; k++ {
-		if strings.HasPrefix(k.String(), "TxnEventKind(") {
-			t.Errorf("in-range kind %d missing from the name table", int(k))
-		}
+		t.Fatal("the trace shows no aborts under heavy contention")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"ddbm/internal/audit"
 	"ddbm/internal/cc"
 	"ddbm/internal/commit"
+	"ddbm/internal/db"
 	"ddbm/internal/obs"
 	"ddbm/internal/sim"
 	"ddbm/internal/workload"
@@ -266,11 +267,17 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 }
 
 // newCohortRun makes a pooled cohort run with its entry points bound.
+// Under the deferred-lock variants its Deferred buffer is sized up front
+// (Machine.deferredCap), so appendDeferred never regrows it on the
+// transaction path.
 func newCohortRun(a *attemptState) *cohortRun {
 	c := &cohortRun{a: a, m: a.m} //ddbmlint:allow hotpath-alloc pool growth: one run per high-water cohort slot
 	c.spawnFn = c.spawn
 	c.blockedFn = c.blocked
 	c.k.Init(a.m.sim, c.step)
+	if n := a.m.deferredCap; n > 0 {
+		c.proto.Deferred = make([]db.PageID, 0, n) //ddbmlint:allow hotpath-alloc pool growth: sized once per pooled cohort run
+	}
 	return c
 }
 
@@ -373,7 +380,7 @@ func (t *terminal) step() {
 			t.restarts = 0
 			t.ld.StartAt(t.origin)
 			m.stats.txnStarted(t.origin)
-			m.lifecycle(TxnSubmitted, t.txn, 1, "")
+			m.tracer.Instant(obs.NameSubmitted, m.hostID, t.txn, 1, "")
 			t.pc = termHold
 		case termHold:
 			if m.ft != nil && m.ft.inj.HostDown() {
@@ -383,7 +390,7 @@ func (t *terminal) step() {
 				return
 			}
 			attemptNo := t.restarts + 1
-			m.lifecycle(TxnAttemptStarted, t.txn, attemptNo, "")
+			m.tracer.Instant(obs.NameAttempt, m.hostID, t.txn, attemptNo, "")
 			t.attemptAt = m.sim.Now()
 			t.a = m.acquireAttempt(t.txn, t.origTS, attemptNo, t.plan, t.ld)
 			// Coordinator process startup at the host.
@@ -474,7 +481,7 @@ func (t *terminal) step() {
 			// return — zero for the asynchronous phase-two fan-out.
 			// Nil-safe no-ops when disabled.
 			a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
-			m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, t.txn, a.env.attempt, a.env.phaseAt)
+			m.tracer.Complete(obs.KindCommitPhase, obs.NameResolve, m.hostID, t.txn, a.env.attempt, a.env.phaseAt)
 			t.endAttempt()
 			t.committed()
 			t.pc = termThink
@@ -486,7 +493,7 @@ func (t *terminal) step() {
 			reason := t.abortResolved()
 			attemptNo := a.env.attempt
 			t.endAttempt()
-			m.lifecycle(TxnAttemptAborted, t.txn, attemptNo, reason)
+			m.tracer.Instant(obs.NameAborted, m.hostID, t.txn, attemptNo, reason)
 			m.stats.txnAborted()
 			t.restarts++
 			t.pc = termRestart
@@ -529,7 +536,7 @@ func (t *terminal) abortResolved() string {
 	// protocol's return — the ack-collection wait under the ack-requiring
 	// variants. Nil-safe no-ops when untraced/disabled.
 	a.bd.Spend(m.sim.Now(), obs.PhaseResolve)
-	m.tracer.Complete(obs.KindCommitPhase, "resolve", m.hostID, t.txn, a.env.attempt, a.env.phaseAt)
+	m.tracer.Complete(obs.KindCommitPhase, obs.NameResolve, m.hostID, t.txn, a.env.attempt, a.env.phaseAt)
 	// The cause tally runs here, after the abort protocol resolved: no
 	// simulated time passes between this point and the txnAborted tally,
 	// so the windowed counters agree exactly.
@@ -545,7 +552,7 @@ func (t *terminal) endAttempt() {
 	attemptNo := t.a.env.attempt
 	t.a.release()
 	t.a = nil
-	t.m.tracer.Complete(obs.KindTxn, "attempt", t.m.hostID, t.txn, attemptNo, t.attemptAt)
+	t.m.tracer.Complete(obs.KindTxn, obs.NameAttempt, t.m.hostID, t.txn, attemptNo, t.attemptAt)
 }
 
 // committed completes the transaction: response-time statistics, the
@@ -554,7 +561,7 @@ func (t *terminal) endAttempt() {
 //ddbmlint:hotpath transaction commit pinned by TestTxnPathAllocFree
 func (t *terminal) committed() {
 	m := t.m
-	m.lifecycle(TxnCommitted, t.txn, t.restarts+1, "")
+	m.tracer.Instant(obs.NameCommitted, m.hostID, t.txn, t.restarts+1, "")
 	resp := m.sim.Now() - t.origin
 	m.stats.txnCommitted(m.sim.Now(), resp, t.restarts)
 	m.bd.noteCommit(t.classIdx, t.ld, m.stats.measuring)
@@ -904,7 +911,7 @@ func (c *cohortRun) verdict() cc.Outcome {
 //ddbmlint:hotpath blocking-episode observation pinned by TestTxnPathAllocFree
 func (c *cohortRun) blocked(co *cc.CohortMeta, d sim.Time) {
 	if tr := c.m.tracer; tr != nil && d > 0 {
-		tr.Complete(obs.KindCCWait, "cc-wait", c.meta.Node, c.meta.Txn.ID, c.attempt, c.m.sim.Now()-d)
+		tr.Complete(obs.KindCCWait, obs.NameCCWait, c.meta.Node, c.meta.Txn.ID, c.attempt, c.m.sim.Now()-d)
 	}
 	c.m.onBlocked(co, d)
 }
@@ -930,7 +937,7 @@ func (m *Machine) cohortDone(c *cohortRun) {
 	if m.ft != nil {
 		c.phase = phaseExited
 	}
-	m.tracer.Complete(obs.KindCohort, "cohort", c.meta.Node, c.meta.Txn.ID, c.attempt, c.spanAt)
+	m.tracer.Complete(obs.KindCohort, obs.NameCohort, c.meta.Node, c.meta.Txn.ID, c.attempt, c.spanAt)
 }
 
 // locksUpFront reports whether the algorithm can usefully claim write
@@ -946,7 +953,7 @@ func locksUpFront(k cc.Kind) bool { return k == cc.TwoPL || k == cc.WoundWait }
 //
 //ddbmlint:hotpath cc-reject report pinned by TestTxnPathAllocFree
 func (m *Machine) reportSelfAbort(c *cohortRun) {
-	m.tracer.Instant("cc-reject", c.meta.Node, c.meta.Txn.ID, c.attempt, "")
+	m.tracer.Instant(obs.NameCCReject, c.meta.Node, c.meta.Txn.ID, c.attempt, "")
 	if c.meta.Txn.AbortRequested {
 		return
 	}

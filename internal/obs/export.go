@@ -7,13 +7,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"strconv"
 )
 
 // Exporters. Both formats are deterministic byte-for-byte given the same
-// event list: structs marshal with fixed field order and events are
-// written in recording order, so golden-file tests can diff the output of
-// a seeded run directly.
+// log: fields are written in a fixed order and events in recording order,
+// so golden-file tests can diff the output of a seeded run directly.
 
 // Chrome trace-event mapping (loadable in Perfetto / chrome://tracing):
 // one "process" per simulated node, one "thread" per transaction attempt
@@ -45,155 +46,298 @@ func attemptTid(txn int64, attempt int) int64 {
 	return int64(attempt)<<attemptShift | txn
 }
 
-// chromeEvent is one trace-event entry; fields follow the Chrome
-// trace-event format. Ts and Dur are microseconds (the format's unit);
-// simulated milliseconds are scaled by 1000 on export.
-type chromeEvent struct {
-	Name string      `json:"name"`
-	Ph   string      `json:"ph"`
-	Ts   float64     `json:"ts"`
-	Dur  float64     `json:"dur,omitempty"`
-	Pid  int         `json:"pid"`
-	Tid  int64       `json:"tid"`
-	S    string      `json:"s,omitempty"`
-	Cat  string      `json:"cat,omitempty"`
-	ID   int         `json:"id,omitempty"`
-	Args *chromeArgs `json:"args,omitempty"`
-}
-
-type chromeArgs struct {
-	Txn     int64  `json:"txn,omitempty"`
-	Attempt int    `json:"attempt,omitempty"`
-	Detail  string `json:"detail,omitempty"`
-}
-
-type chromeMeta struct {
-	Name string `json:"name"`
-	Ph   string `json:"ph"`
-	Pid  int    `json:"pid"`
-	Tid  int64  `json:"tid,omitempty"`
-	Args struct {
-		Name string `json:"name"`
-	} `json:"args"`
-}
-
-// WriteChromeTrace renders the events as Chrome trace-event JSON. host is
+// WriteChromeTrace renders the log as Chrome trace-event JSON. host is
 // the host node's id (used only for process naming; the convention is
 // host == number of processing nodes).
-func WriteChromeTrace(w io.Writer, events []Event, host int) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"traceEvents\":[\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(v any) error {
-		data, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		if !first {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err = bw.Write(data)
-		return err
-	}
+//
+// Each entry is appended into one reused buffer with strconv, field by
+// field in a fixed order, so the per-event path needs no reflection, no
+// fmt and no allocation. The bytes are exactly what encoding/json makes
+// of the entry as a struct with omitempty on dur, the metadata tid and
+// the args fields: floats follow its rule (appendJSONFloat), and a
+// string that it would escape is handed to it (appendJSONString).
+func WriteChromeTrace(w io.Writer, log *Log, host int) error {
+	e := chromeEncoder{w: w, buf: make([]byte, 0, chromeFlushAt+1024), first: true}
+	e.raw("{\"traceEvents\":[\n")
 
 	// Process (and resource-thread) name metadata for every node that
 	// appears, in node order.
-	nodes := map[int]bool{}
-	disks := map[[2]int]bool{}
-	maxSpindle := map[int]int{}
-	for i := range events {
-		nodes[events[i].Node] = true
-		if events[i].Kind == KindMessage {
-			nodes[events[i].Lane] = true
-		}
-		if events[i].Kind == KindDisk {
-			disks[[2]int{events[i].Node, events[i].Lane}] = true
-			if events[i].Lane > maxSpindle[events[i].Node] {
-				maxSpindle[events[i].Node] = events[i].Lane
-			}
+	var tracks chromeTracks
+	for c := 0; c < log.numChunks(); c++ {
+		seg := log.segment(c)
+		for j := range seg {
+			tracks.note(&seg[j])
 		}
 	}
-	ids := make([]int, 0, len(nodes))
-	for n := range nodes {
-		ids = append(ids, n)
-	}
-	slices.Sort(ids)
-	for _, n := range ids {
-		m := chromeMeta{Name: "process_name", Ph: "M", Pid: n}
+	for n, seen := range tracks.nodes {
+		if !seen {
+			continue
+		}
+		e.begin()
+		e.raw(`{"name":"process_name","ph":"M","pid":`)
+		e.int(int64(n))
+		e.raw(`,"args":{"name":`)
 		if n == host {
-			m.Args.Name = "host"
+			e.raw(`"host"`)
 		} else {
-			m.Args.Name = fmt.Sprintf("node %d", n)
+			e.raw(`"node `)
+			e.int(int64(n))
+			e.raw(`"`)
 		}
-		if err := emit(m); err != nil {
-			return err
-		}
-		t := chromeMeta{Name: "thread_name", Ph: "M", Pid: n, Tid: cpuTid}
-		t.Args.Name = "cpu"
-		if err := emit(t); err != nil {
-			return err
-		}
-		for k := 0; k <= maxSpindle[n]; k++ {
-			if !disks[[2]int{n, k}] {
+		e.raw(`}}`)
+		e.begin()
+		e.raw(`{"name":"thread_name","ph":"M","pid":`)
+		e.int(int64(n))
+		e.raw(`,"tid":`)
+		e.int(cpuTid)
+		e.raw(`,"args":{"name":"cpu"}}`)
+		for k, seen := range tracks.spindles[n] {
+			if !seen {
 				continue
 			}
-			d := chromeMeta{Name: "thread_name", Ph: "M", Pid: n, Tid: diskTidBase - int64(k)}
-			d.Args.Name = fmt.Sprintf("disk %d", k)
-			if err := emit(d); err != nil {
-				return err
-			}
+			e.begin()
+			e.raw(`{"name":"thread_name","ph":"M","pid":`)
+			e.int(int64(n))
+			e.raw(`,"tid":`)
+			e.int(diskTidBase - int64(k))
+			e.raw(`,"args":{"name":"disk `)
+			e.int(int64(k))
+			e.raw(`"}}`)
 		}
 	}
 
-	for i := range events {
-		e := &events[i]
-		ts := e.Start * 1000
-		dur := (e.End - e.Start) * 1000
-		switch e.Kind {
-		case KindMessage:
-			b := chromeEvent{Name: e.Name, Ph: "b", Ts: ts, Pid: e.Node, Cat: "net", ID: i + 1,
-				Args: &chromeArgs{Detail: fmt.Sprintf("%d to %d", e.Node, e.Lane)}}
-			if err := emit(b); err != nil {
-				return err
-			}
-			en := chromeEvent{Name: e.Name, Ph: "e", Ts: e.End * 1000, Pid: e.Node, Cat: "net", ID: i + 1}
-			if err := emit(en); err != nil {
-				return err
-			}
-		case KindCPU:
-			if err := emit(chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node, Tid: cpuTid}); err != nil {
-				return err
-			}
-		case KindDisk:
-			if err := emit(chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node,
-				Tid: diskTidBase - int64(e.Lane)}); err != nil {
-				return err
-			}
-		case KindInstant:
-			ev := chromeEvent{Name: e.Name, Ph: "i", Ts: ts, Pid: e.Node, Tid: attemptTid(e.Txn, e.Attempt), S: "t"}
-			if e.Txn != 0 || e.Detail != "" {
-				ev.Args = &chromeArgs{Txn: e.Txn, Attempt: e.Attempt, Detail: e.Detail}
-			}
-			if err := emit(ev); err != nil {
-				return err
-			}
-		default: // txn, cohort, cc-wait, commit-phase
-			ev := chromeEvent{Name: e.Name, Ph: "X", Ts: ts, Dur: dur, Pid: e.Node, Tid: attemptTid(e.Txn, e.Attempt),
-				Args: &chromeArgs{Txn: e.Txn, Attempt: e.Attempt, Detail: e.Detail}}
-			if err := emit(ev); err != nil {
-				return err
+	// Details are quoted once per export, not once per event.
+	var details [][]byte
+	if log != nil {
+		details = make([][]byte, len(log.details)+1)
+		for k, d := range log.details {
+			details[k+1] = appendJSONString(nil, d)
+		}
+	}
+	for c := 0; c < log.numChunks(); c++ {
+		seg := log.segment(c)
+		for j := range seg {
+			r := &seg[j]
+			e.event(r, c*chunkLen+j, details[r.detail])
+			if len(e.buf) >= chromeFlushAt {
+				e.flush()
 			}
 		}
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
+	e.raw("\n]}\n")
+	e.flush()
+	return e.err
+}
+
+// chromeFlushAt is the buffered output size at which the encoder writes
+// through to the underlying writer.
+const chromeFlushAt = 64 << 10
+
+// chromeTracks collects the nodes and disk spindles that appear in a log.
+// Node ids and spindle indexes are never negative.
+type chromeTracks struct {
+	nodes    []bool   // by node id
+	spindles [][]bool // by node id, then spindle
+}
+
+func (t *chromeTracks) note(r *record) {
+	t.node(r.node)
+	switch r.kind {
+	case KindMessage:
+		t.node(r.lane)
+	case KindDisk:
+		s := t.spindles[r.node]
+		for len(s) <= int(r.lane) {
+			s = append(s, false)
+		}
+		s[r.lane] = true
+		t.spindles[r.node] = s
 	}
-	return bw.Flush()
+}
+
+func (t *chromeTracks) node(n int32) {
+	for len(t.nodes) <= int(n) {
+		t.nodes = append(t.nodes, false)
+		t.spindles = append(t.spindles, nil)
+	}
+	t.nodes[n] = true
+}
+
+// chromeEncoder appends trace entries to buf and writes buf through to w
+// in large pieces. The first error sticks.
+type chromeEncoder struct {
+	w     io.Writer
+	buf   []byte
+	first bool
+	err   error
+}
+
+func (e *chromeEncoder) raw(s string) { e.buf = append(e.buf, s...) }
+
+func (e *chromeEncoder) int(v int64) { e.buf = strconv.AppendInt(e.buf, v, 10) }
+
+// begin separates an entry from the one before it.
+func (e *chromeEncoder) begin() {
+	if !e.first {
+		e.raw(",\n")
+	}
+	e.first = false
+}
+
+// float appends f; JSON has no NaN or infinity, so either is an error.
+func (e *chromeEncoder) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if e.err == nil {
+			e.err = fmt.Errorf("obs: unsupported value %v in a Chrome trace", f)
+		}
+		return
+	}
+	e.buf = appendJSONFloat(e.buf, f)
+}
+
+func (e *chromeEncoder) flush() {
+	if e.err == nil && len(e.buf) > 0 {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+}
+
+// head opens an entry: name, phase and timestamp.
+func (e *chromeEncoder) head(name Name, ph string, ts float64) {
+	e.begin()
+	e.raw(`{"name":`)
+	e.buf = appendJSONString(e.buf, name.String())
+	e.raw(`,"ph":"`)
+	e.raw(ph)
+	e.raw(`","ts":`)
+	e.float(ts)
+}
+
+// dur appends the duration field, omitted at zero.
+func (e *chromeEncoder) dur(d float64) {
+	if d != 0 {
+		e.raw(`,"dur":`)
+		e.float(d)
+	}
+}
+
+// track appends the process and thread ids.
+func (e *chromeEncoder) track(pid int32, tid int64) {
+	e.raw(`,"pid":`)
+	e.int(int64(pid))
+	e.raw(`,"tid":`)
+	e.int(tid)
+}
+
+// args appends the transaction arguments, each omitted at its zero value.
+func (e *chromeEncoder) args(txn int64, attempt int32, detail []byte) {
+	e.raw(`,"args":{`)
+	sep := false
+	if txn != 0 {
+		e.raw(`"txn":`)
+		e.int(txn)
+		sep = true
+	}
+	if attempt != 0 {
+		if sep {
+			e.raw(",")
+		}
+		e.raw(`"attempt":`)
+		e.int(int64(attempt))
+		sep = true
+	}
+	if len(detail) > 0 {
+		if sep {
+			e.raw(",")
+		}
+		e.raw(`"detail":`)
+		e.buf = append(e.buf, detail...)
+	}
+	e.raw("}")
+}
+
+// event appends the entries of record r, the i-th of the log; detail is
+// its quoted detail string, nil when it has none. ts and dur are
+// microseconds (the format's unit): simulated milliseconds times 1000.
+func (e *chromeEncoder) event(r *record, i int, detail []byte) {
+	ts := r.start * 1000
+	dur := (r.end - r.start) * 1000
+	switch r.kind {
+	case KindMessage:
+		id := int64(i + 1)
+		e.head(r.name, "b", ts)
+		e.track(r.node, 0)
+		e.raw(`,"cat":"net","id":`)
+		e.int(id)
+		e.raw(`,"args":{"detail":"`)
+		e.int(int64(r.node))
+		e.raw(" to ")
+		e.int(int64(r.lane))
+		e.raw(`"}}`)
+		e.head(r.name, "e", r.end*1000)
+		e.track(r.node, 0)
+		e.raw(`,"cat":"net","id":`)
+		e.int(id)
+		e.raw("}")
+	case KindCPU:
+		e.head(r.name, "X", ts)
+		e.dur(dur)
+		e.track(r.node, cpuTid)
+		e.raw("}")
+	case KindDisk:
+		e.head(r.name, "X", ts)
+		e.dur(dur)
+		e.track(r.node, diskTidBase-int64(r.lane))
+		e.raw("}")
+	case KindInstant:
+		e.head(r.name, "i", ts)
+		e.track(r.node, attemptTid(r.txn, int(r.attempt)))
+		e.raw(`,"s":"t"`)
+		if r.txn != 0 || detail != nil {
+			e.args(r.txn, r.attempt, detail)
+		}
+		e.raw("}")
+	default: // txn, cohort, cc-wait, commit-phase, fault
+		e.head(r.name, "X", ts)
+		e.dur(dur)
+		e.track(r.node, attemptTid(r.txn, int(r.attempt)))
+		e.args(r.txn, r.attempt, detail)
+		e.raw("}")
+	}
+}
+
+// appendJSONFloat appends f as encoding/json renders a float64: the
+// shortest 'f' form, switching to 'e' below 1e-6 and from 1e21 on, with
+// a one-digit negative exponent unpadded (e-7, not e-07). f is finite.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// appendJSONString appends s quoted. A string holding any byte that
+// encoding/json escapes by default — a quote, a backslash, a control
+// byte, <, > or &, or any non-ASCII byte — is rendered by encoding/json
+// itself; every other string is copied as is.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // jsonlEvent is the JSONL wire form of an Event.
@@ -209,13 +353,13 @@ type jsonlEvent struct {
 	Detail  string  `json:"detail,omitempty"`
 }
 
-// WriteJSONL renders the events as one JSON object per line, in
-// recording order.
-func WriteJSONL(w io.Writer, events []Event) error {
+// WriteJSONL renders the log as one JSON object per line, in recording
+// order.
+func WriteJSONL(w io.Writer, log *Log) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for i := range events {
-		e := &events[i]
+	for i := 0; i < log.Len(); i++ {
+		e := log.At(i)
 		if err := enc.Encode(jsonlEvent{
 			Kind: e.Kind.String(), Name: e.Name, Node: e.Node, Lane: e.Lane,
 			Txn: e.Txn, Attempt: e.Attempt, Start: e.Start, End: e.End, Detail: e.Detail,

@@ -16,8 +16,10 @@
 //   - Disabled (nil *Tracer): every method is nil-receiver-safe and returns
 //     immediately, so instrumented call sites compile to a pointer test.
 //     AllocsPerRun pins in obs_test.go hold this at zero allocations.
-//   - Enabled: the event buffer is growable but reservable (Reserve), so
-//     steady-state recording does not allocate per event.
+//   - Enabled: events are stored as pointer-free records in fixed-size
+//     chunks (see Log), so recording allocates one chunk per chunkLen
+//     events, never copies an earlier record, and gives the garbage
+//     collector nothing to scan.
 package obs
 
 import (
@@ -92,11 +94,73 @@ func ParseKind(s string) (Kind, error) {
 	return 0, fmt.Errorf("obs: unknown event kind %q", s)
 }
 
-// Event is one recorded observation. Spans carry Start < End; instants
-// have Start == End. Node is the node the event happened at; Lane
-// disambiguates concurrent node-scoped activity (the spindle index for
-// KindDisk, the destination node for KindMessage, 0 otherwise). Txn and
-// Attempt are 0 for node-scoped events (CPU, disk, message).
+// Name is the closed set of event names; call sites pass the code and
+// the exporters print the string. The first six are the coordinator's
+// transaction life-cycle instants, in life-cycle order ("attempt" also
+// names the KindTxn span).
+type Name uint8
+
+const (
+	NameSubmitted Name = iota // a terminal submitted a new transaction
+	NameAttempt               // an execution attempt began (instant) or ran (span)
+	NameAborted               // the attempt aborted; the detail holds the reason
+	NameCommitted             // the commit decision was made (response complete)
+	NamePrepared              // every cohort voted yes in commit phase one
+	NameDecided               // the protocol resolved the attempt; detail commit or abort
+	// Span names: cohort, cc-wait, the three commit phases, msg, cpu and
+	// the two disk accesses.
+	NameCohort
+	NameCCWait
+	NamePrepare
+	NameDecide
+	NameResolve
+	NameMsg
+	NameCPU
+	NameRead
+	NameWrite
+	// An immediate CC rejection (instant).
+	NameCCReject
+	// Fault events: the crash instants, then the KindFault spans.
+	NameCrash
+	NameHostCrash
+	NameDown
+	NameRecovery
+	NameInDoubt
+	numNames
+)
+
+var nameStrings = [numNames]string{
+	NameSubmitted: "submitted",
+	NameAttempt:   "attempt",
+	NameAborted:   "aborted",
+	NameCommitted: "committed",
+	NamePrepared:  "prepared",
+	NameDecided:   "decided",
+	NameCohort:    "cohort",
+	NameCCWait:    "cc-wait",
+	NamePrepare:   "prepare",
+	NameDecide:    "decide",
+	NameResolve:   "resolve",
+	NameMsg:       "msg",
+	NameCPU:       "cpu",
+	NameRead:      "read",
+	NameWrite:     "write",
+	NameCCReject:  "cc-reject",
+	NameCrash:     "crash",
+	NameHostCrash: "host-crash",
+	NameDown:      "down",
+	NameRecovery:  "recovery",
+	NameInDoubt:   "in-doubt",
+}
+
+func (n Name) String() string { return nameStrings[n] }
+
+// Event is the decoded view of one recorded observation. Spans carry
+// Start < End; instants have Start == End. Node is the node the event
+// happened at; Lane disambiguates concurrent node-scoped activity (the
+// spindle index for KindDisk, the destination node for KindMessage, 0
+// otherwise). Txn and Attempt are 0 for node-scoped events (CPU, disk,
+// message).
 type Event struct {
 	Kind    Kind
 	Name    string
@@ -109,12 +173,130 @@ type Event struct {
 	Detail  string
 }
 
+// Lifecycle reports whether e is one of the coordinator's transaction
+// life-cycle instants (submitted, attempt, aborted, committed, prepared,
+// decided).
+func (e *Event) Lifecycle() bool {
+	if e.Kind != KindInstant {
+		return false
+	}
+	for n := NameSubmitted; n <= NameDecided; n++ {
+		if nameStrings[n] == e.Name {
+			return true
+		}
+	}
+	return false
+}
+
+// record is the stored form of an Event: 40 bytes with no pointer field,
+// so a chunk of them is a noscan allocation the garbage collector never
+// reads. The detail is an index into the log's string table (0 = none).
+type record struct {
+	kind    Kind
+	name    Name
+	detail  uint16
+	node    int32
+	lane    int32
+	attempt int32
+	txn     int64
+	start   sim.Time
+	end     sim.Time
+}
+
+// chunkLen is the number of records per chunk (160 KB).
+const chunkLen = 4096
+
+type chunk [chunkLen]record
+
+// Log is a tracer's recorded events, in recording order (which, for
+// spans, is end-time order). Records go into fixed-size chunks that are
+// made when the previous one fills and never move, so recording costs
+// one allocation per chunkLen events and no copying. Detail strings are
+// interned in a small per-log table. A nil *Log is empty.
+type Log struct {
+	chunks  []*chunk
+	n       int
+	details []string // detail code k > 0 is details[k-1]
+}
+
+// Len returns the number of recorded events.
+func (l *Log) Len() int {
+	if l == nil {
+		return 0
+	}
+	return l.n
+}
+
+// At decodes the i-th recorded event. A message's "i to j" detail is
+// left empty; the Chrome exporter builds it.
+func (l *Log) At(i int) Event {
+	if i < 0 || i >= l.Len() {
+		panic(fmt.Sprintf("obs: event index %d out of range [0,%d)", i, l.Len()))
+	}
+	r := &l.chunks[i/chunkLen][i%chunkLen]
+	return Event{
+		Kind: r.kind, Name: r.name.String(), Node: int(r.node), Lane: int(r.lane),
+		Txn: r.txn, Attempt: int(r.attempt), Start: r.start, End: r.end,
+		Detail: l.detail(r.detail),
+	}
+}
+
+// numChunks returns the number of chunks in use.
+func (l *Log) numChunks() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.chunks)
+}
+
+// segment returns the filled part of chunk c.
+func (l *Log) segment(c int) []record {
+	return l.chunks[c][:min(chunkLen, l.n-c*chunkLen)]
+}
+
+func (l *Log) detail(code uint16) string {
+	if code == 0 {
+		return ""
+	}
+	return l.details[code-1]
+}
+
+// add appends one record. Only the chunk directory (one pointer per
+// chunk) is ever regrown; records stay where they were written.
+func (l *Log) add(r record) {
+	i := l.n % chunkLen
+	if i == 0 {
+		l.chunks = append(l.chunks, new(chunk)) //ddbmlint:allow hotpath-alloc one chunk per chunkLen traced events; the measured path has a nil tracer
+	}
+	l.chunks[len(l.chunks)-1][i] = r
+	l.n++
+}
+
+// intern returns the detail code of s. Details are a handful of abort
+// reasons and protocol outcomes, so a scan beats hashing; constant
+// strings compare by pointer first.
+func (l *Log) intern(s string) uint16 {
+	if s == "" {
+		return 0
+	}
+	for i, d := range l.details {
+		if d == s {
+			return uint16(i + 1)
+		}
+	}
+	if len(l.details) == 1<<16-1 {
+		panic("obs: more than 65535 distinct event details")
+	}
+	l.details = append(l.details, s) //ddbmlint:allow hotpath-alloc one entry per distinct detail string; the measured path has a nil tracer
+	return uint16(len(l.details))
+}
+
 // Tracer records spans and instants against one simulation's clock. The
 // zero-cost disabled state is a nil *Tracer: every method is
 // nil-receiver-safe.
 type Tracer struct {
-	sim    *sim.Sim
-	events []Event
+	sim *sim.Sim
+	log Log
 }
 
 // NewTracer creates a tracer bound to the simulation clock.
@@ -122,24 +304,13 @@ func NewTracer(s *sim.Sim) *Tracer {
 	return &Tracer{sim: s}
 }
 
-// Reserve grows the event buffer capacity to at least n, so recording up
-// to n events allocates nothing.
-func (t *Tracer) Reserve(n int) {
-	if t == nil || cap(t.events) >= n {
-		return
-	}
-	grown := make([]Event, len(t.events), n)
-	copy(grown, t.events)
-	t.events = grown
-}
-
-// Events returns the recorded events in recording order (which, for
-// spans, is end-time order). The slice aliases the tracer's buffer.
-func (t *Tracer) Events() []Event {
+// Events returns the recorded events. The log is the tracer's own: it
+// keeps growing while the simulation runs.
+func (t *Tracer) Events() *Log {
 	if t == nil {
 		return nil
 	}
-	return t.events
+	return &t.log
 }
 
 // Len returns the number of recorded events.
@@ -147,30 +318,33 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
-}
-
-func (t *Tracer) record(e Event) {
-	t.events = append(t.events, e) //ddbmlint:allow hotpath-alloc trace buffer; traced runs trade allocation for observability, the measured path has a nil tracer
+	return t.log.n
 }
 
 // Complete records a span from start to the current simulated time. The
 // caller keeps the start (a blocking episode observed at wakeup, a
 // protocol phase boundary, an attempt's start on its pooled record).
-func (t *Tracer) Complete(kind Kind, name string, node int, txn int64, attempt int, start sim.Time) {
+func (t *Tracer) Complete(kind Kind, name Name, node int, txn int64, attempt int, start sim.Time) {
 	if t == nil {
 		return
 	}
-	t.record(Event{Kind: kind, Name: name, Node: node, Txn: txn, Attempt: attempt, Start: start, End: t.sim.Now()})
+	t.log.add(record{kind: kind, name: name, node: int32(node), txn: txn, attempt: int32(attempt), start: start, end: t.sim.Now()})
 }
 
 // Instant records a zero-duration event at the current simulated time.
-func (t *Tracer) Instant(name string, node int, txn int64, attempt int, detail string) {
+// The recording half is a separate call so that this nil test inlines at
+// the call site.
+func (t *Tracer) Instant(name Name, node int, txn int64, attempt int, detail string) {
 	if t == nil {
 		return
 	}
+	t.instant(name, node, txn, attempt, detail)
+}
+
+func (t *Tracer) instant(name Name, node int, txn int64, attempt int, detail string) {
 	now := t.sim.Now()
-	t.record(Event{Kind: KindInstant, Name: name, Node: node, Txn: txn, Attempt: attempt, Start: now, End: now, Detail: detail})
+	t.log.add(record{kind: KindInstant, name: name, node: int32(node), txn: txn, attempt: int32(attempt),
+		start: now, end: now, detail: t.log.intern(detail)})
 }
 
 // Message records one message transit from node `from` to node `to`,
@@ -179,7 +353,7 @@ func (t *Tracer) Message(from, to int, start sim.Time) {
 	if t == nil {
 		return
 	}
-	t.record(Event{Kind: KindMessage, Name: "msg", Node: from, Lane: to, Start: start, End: t.sim.Now()})
+	t.log.add(record{kind: KindMessage, name: NameMsg, node: int32(from), lane: int32(to), start: start, end: t.sim.Now()})
 }
 
 // CPUBusy records one CPU busy period at node, begun at start and drained
@@ -189,7 +363,7 @@ func (t *Tracer) CPUBusy(node int, start sim.Time) {
 	if t == nil {
 		return
 	}
-	t.record(Event{Kind: KindCPU, Name: "cpu", Node: node, Start: start, End: t.sim.Now()})
+	t.log.add(record{kind: KindCPU, name: NameCPU, node: int32(node), start: start, end: t.sim.Now()})
 }
 
 // DiskAccess records one disk service period on the given spindle of
@@ -198,9 +372,9 @@ func (t *Tracer) DiskAccess(node, spindle int, write bool, start sim.Time) {
 	if t == nil {
 		return
 	}
-	name := "read"
+	name := NameRead
 	if write {
-		name = "write"
+		name = NameWrite
 	}
-	t.record(Event{Kind: KindDisk, Name: name, Node: node, Lane: spindle, Start: start, End: t.sim.Now()})
+	t.log.add(record{kind: KindDisk, name: name, node: int32(node), lane: int32(spindle), start: start, end: t.sim.Now()})
 }
