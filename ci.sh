@@ -73,9 +73,20 @@ go test -run 'TestSteadyStateAllocFree' \
 echo "== transaction-path allocation pin"
 # The end-to-end transaction path (terminals, plans, attempts, envelopes,
 # commit fan-out, locks, CPU/disk queues, metrics) must stay allocation-free
-# in steady state across every commit-protocol variant; the whole-module
-# ddbmlint run above audits the same packages' hot paths statically.
-go test -run 'TestTxnPathAllocFree' -count=1 ./internal/core/
+# in steady state across every commit-protocol variant and on the
+# placements with several partitions or replica copies per node; the
+# whole-module ddbmlint run above audits the same packages' hot paths
+# statically. The pools it runs on are sized from the placement, so three
+# more tests guard those sizes: the footprint pin (building the Table 4
+# machine stays within 8 MB and 10,000 objects, catching a return to
+# worst-case sizing or to one object per pooled record), the bound
+# property (no planned cohort exceeds MaxAccessesPerCohort on any
+# placement, and Table 4 reaches it), and FindVictims' order independence
+# (victims do not depend on edge order or repetition, which the Snoop's
+# gather in request-arrival order relies on).
+go test -run 'TestTxnPathAllocFree|TestNewMachineFootprint' -count=1 ./internal/core/
+go test -run 'TestMaxAccessesPerCohortBoundsPlans' -count=1 ./internal/workload/
+go test -run 'TestFindVictimsOrderIndependent' -count=1 ./internal/cc/
 
 echo "== commit-protocol sweep smoke"
 # All three 2PC variants end to end at a tiny time scale. This catches a

@@ -7,16 +7,18 @@ import (
 )
 
 // txnIDLess orders transactions by ID for the deterministic visit orders
-// below. All sort call sites use slices.SortFunc (generic, no
-// reflectlite.Swapper); the permutation is identical to the former
-// sort.Slice calls because both are generated from the same pdqsort
-// template.
-func txnIDLess(a, b *TxnMeta) int { return cmp.Compare(a.ID, b.ID) }
-
-// WaitsForProvider is implemented by managers that can report their node's
-// waits-for graph (the locking algorithms); the Snoop gathers these.
-type WaitsForProvider interface {
-	WaitsForEdges() []Edge
+// below. Two attempts of one transaction share its ID (an aborted
+// attempt's cohort may still hold locks when the restart blocks), so the
+// attempt timestamp breaks the tie: the order is total, and pdqsort — not
+// stable — cannot leave equal IDs in input order. That makes the victims a
+// function of the graph alone, whatever the order or repetition of its
+// edges. All sort call sites use slices.SortFunc (generic, no
+// reflectlite.Swapper).
+func txnIDLess(a, b *TxnMeta) int {
+	if c := cmp.Compare(a.ID, b.ID); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.AttemptTS, b.AttemptTS)
 }
 
 // Edge is one waits-for relationship: Waiter is blocked by Blocker at Node.
@@ -30,8 +32,11 @@ type Edge struct {
 // its scratch (graph arrays, DFS stack, colouring) across calls. Local 2PL
 // detection runs on every block, so the holder of a long-lived Detector
 // pays zero steady-state allocations; the zero value is ready to use. A
-// Detector is not safe for concurrent use — hold one per manager (or per
-// Snoop process), never share across simulations.
+// Detector is not safe for concurrent use, and the victims slice it
+// returns lives only until its next call: share one only among users
+// whose calls cannot overlap — the 2PL managers of one machine share one,
+// since each detection finishes inside one lock request — and never
+// across simulations.
 type Detector struct {
 	// gen is the globally unique generation of the current detection pass
 	// (drawn from detPass in load). Transactions carry their first-seen

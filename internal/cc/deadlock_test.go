@@ -2,6 +2,7 @@ package cc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -185,4 +186,63 @@ func TestHasCycleLargeChain(t *testing.T) {
 	if len(v) != 1 || v[0] != txns[n-1] {
 		t.Fatalf("victim %v, want the youngest", v)
 	}
+}
+
+// TestFindVictimsOrderIndependent checks that the victims depend on the
+// waits-for graph only, not on how its edges are listed: random graphs
+// give the same victims, in the same order, after their edges are
+// shuffled and some repeated. The Snoop relies on this when it gathers
+// each node's edges in request-arrival order, and a node's snapshot may
+// repeat an edge (one waiter behind two of a blocker's locks). Some
+// transactions are second attempts that share their predecessor's ID and
+// TS, as when an aborted attempt still holds locks while its restart
+// waits; some are unabortable.
+func TestFindVictimsOrderIndependent(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var d Detector
+	for g := 0; g < 500; g++ {
+		n := 2 + r.Intn(10)
+		txns := make([]*TxnMeta, n)
+		for i := range txns {
+			id := int64(i + 1)
+			if i > 0 && r.Intn(4) == 0 {
+				id = txns[r.Intn(i)].ID // a later attempt of an earlier transaction
+			}
+			txns[i] = &TxnMeta{ID: id, TS: id, AttemptTS: int64(100 + i)}
+			switch r.Intn(8) {
+			case 0:
+				txns[i].State = Committing
+			case 1:
+				txns[i].AbortRequested = true
+			}
+		}
+		es := make([]Edge, 1+r.Intn(4*n))
+		for i := range es {
+			es[i] = Edge{Waiter: txns[r.Intn(n)], Blocker: txns[r.Intn(n)], Node: r.Intn(3)}
+		}
+		want := slices.Clone(d.FindVictims(es))
+		for k := 0; k < 4; k++ {
+			perm := slices.Clone(es)
+			for i := range perm {
+				if r.Intn(3) == 0 {
+					perm = append(perm, perm[i])
+				}
+			}
+			r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			if got := d.FindVictims(perm); !slices.Equal(got, want) {
+				t.Fatalf("graph %d: victims %v for the reordered edges, %v for the original", g, ids(got), ids(want))
+			}
+			if got := FindVictims(perm); !slices.Equal(got, want) {
+				t.Fatalf("graph %d: one-shot victims %v for the reordered edges, %v for the original", g, ids(got), ids(want))
+			}
+		}
+	}
+}
+
+func ids(ts []*TxnMeta) []int64 {
+	out := make([]int64, len(ts))
+	for i, t := range ts {
+		out[i] = t.ID
+	}
+	return out
 }

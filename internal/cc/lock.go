@@ -218,8 +218,13 @@ func NewLockTable() *LockTable { return &LockTable{} }
 // growth is driven by high-water records (widest conflict set, most locks
 // held at once) that arrive too rarely for a warmup to retire
 // deterministically — holders with a pinned allocation budget pre-size
-// from their concurrency bounds instead. Reserve performs no locking work,
-// so it is golden-trace safe at any point before the simulation runs.
+// from their concurrency bounds instead. Queue nodes, held lists, entries
+// and holder nodes are each allocated as one slice with the free list
+// threaded through it, and every held list's array is carved from one
+// more, its capacity capped so an append past the bound reallocates
+// rather than run into a neighbour. Free-list order is unobservable:
+// nothing orders by pointer. Reserve performs no locking work, so it is
+// golden-trace safe at any point before the simulation runs.
 func (lt *LockTable) Reserve(txns, locksPerCohort int) {
 	if cap(lt.conflictBuf) < txns {
 		lt.conflictBuf = make([]*CohortMeta, 0, txns)
@@ -230,20 +235,27 @@ func (lt *LockTable) Reserve(txns, locksPerCohort int) {
 		lt.contended = c
 	}
 	// One queued request per cohort, at most.
-	for i := 0; i < txns; i++ {
-		lt.freeReq(&lockReq{})
+	reqs := make([]lockReq, txns)
+	for i := range reqs {
+		lt.freeReq(&reqs[i])
 	}
 	// Held sets: one per cohort, each sized for its worst-case lock count.
-	for i := 0; i < txns; i++ {
-		lt.freeCohortLocks(&cohortLocks{locks: make([]heldLock, 0, locksPerCohort)})
+	held := make([]heldLock, txns*locksPerCohort)
+	sets := make([]cohortLocks, txns)
+	for i := range sets {
+		off := i * locksPerCohort
+		sets[i].locks = held[off : off : off+locksPerCohort]
+		lt.freeCohortLocks(&sets[i])
 	}
 	// Holder nodes and entries: bounded by the total locks held plus the
 	// queued requests.
 	total := txns*locksPerCohort + txns
-	for i := 0; i < total; i++ {
-		lt.freeEntry(&lockEntry{})
-		h := &lockHolder{next: lt.freeHolders}
-		lt.freeHolders = h
+	entries := make([]lockEntry, total)
+	holders := make([]lockHolder, total)
+	for i := range entries {
+		lt.freeEntry(&entries[i])
+		holders[i].next = lt.freeHolders
+		lt.freeHolders = &holders[i]
 	}
 }
 
@@ -732,11 +744,9 @@ func (lt *LockTable) AppendWaitsForEdges(node int, edges []Edge) []Edge {
 	return edges
 }
 
-// WaitsForEdges returns this node's waits-for graph in a fresh slice. Hot
-// callers (local detection on every block) should prefer
-// AppendWaitsForEdges with a reused buffer; this allocating form is for
-// the Snoop — whose result travels through a mailbox and must not alias
-// scratch — and for tests.
+// WaitsForEdges returns this node's waits-for graph in a fresh slice, for
+// tests and invariant checks. Local detection and the Snoop append into
+// reused buffers with AppendWaitsForEdges instead.
 func (lt *LockTable) WaitsForEdges(node int) []Edge {
 	return lt.AppendWaitsForEdges(node, nil)
 }

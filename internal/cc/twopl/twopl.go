@@ -32,16 +32,27 @@ type Algorithm struct {
 	// detection and the Snoop are identical to 2PL.
 	Optimistic bool
 	// MaxTxns and MaxLocksPerCohort, when positive, pre-size every
-	// manager's lock table, detection scratch and the Snoop's gather
-	// buffers for MaxTxns concurrently active transaction attempts each
-	// holding at most MaxLocksPerCohort locks per node. All of those
-	// buffers are self-amortising, but their growth chases high-water
-	// records (widest conflict set, biggest waits-for graph) that arrive
-	// too rarely for a warmup to retire deterministically; pre-sizing from
-	// the machine's concurrency bound makes the steady state
-	// allocation-free outright. Zero leaves the buffers to grow on demand.
+	// manager's lock table, the local-detection scratch and the Snoop's
+	// gather buffer for MaxTxns concurrently active transaction attempts
+	// each holding at most MaxLocksPerCohort locks per node (the machine
+	// passes workload.Generator.MaxAccessesPerCohort, a bound computed
+	// from the placement). All of those buffers are self-amortising, but
+	// their growth chases high-water records (widest conflict set, biggest
+	// waits-for graph) that arrive too rarely for a warmup to retire
+	// deterministically; pre-sizing from the machine's concurrency bound
+	// makes the steady state allocation-free outright. Zero leaves the
+	// buffers to grow on demand.
 	MaxTxns           int
 	MaxLocksPerCohort int
+
+	// edges and det are the local-detection scratch, shared by every
+	// manager this algorithm builds, so one Algorithm serves one machine
+	// (never two simulations at once). One use never overlaps another:
+	// detection runs to completion inside one Access, a victim learns of
+	// its abort by message (RequestAbort → OnAbort → network send), and
+	// delivery never re-enters the sender.
+	edges []cc.Edge
+	det   cc.Detector
 }
 
 // NewO2PL creates the O2PL variant: read locks at access time, write locks
@@ -76,28 +87,26 @@ func (a *Algorithm) maxEdges() int { return a.MaxTxns * a.MaxTxns }
 
 // NewManager creates the per-node lock manager.
 func (a *Algorithm) NewManager(env cc.Env) cc.Manager {
-	m := &manager{env: env, kind: a.Kind(), lt: cc.NewLockTable(), timeout: a.WaitTimeoutMs,
+	m := &manager{env: env, a: a, kind: a.Kind(), lt: cc.NewLockTable(), timeout: a.WaitTimeoutMs,
 		waitSeq: make(map[*cc.CohortMeta]int64)}
 	if a.MaxTxns > 0 {
 		m.lt.Reserve(a.MaxTxns, max(1, a.MaxLocksPerCohort))
-		m.det.Reserve(a.MaxTxns, a.maxEdges())
-		m.edgeBuf = make([]cc.Edge, 0, a.maxEdges())
+		if a.WaitTimeoutMs <= 0 && cap(a.edges) < a.maxEdges() {
+			a.det.Reserve(a.MaxTxns, a.maxEdges())
+			a.edges = make([]cc.Edge, 0, a.maxEdges())
+		}
 	}
 	return m
 }
 
 type manager struct {
 	env      cc.Env
+	a        *Algorithm // owns the shared local-detection scratch
 	kind     cc.Kind
 	lt       *cc.LockTable
 	timeout  float64 // 0: detection; >0: timeout scheme
 	waitSeq  map[*cc.CohortMeta]int64
 	timeouts int64
-	// edgeBuf backs the waits-for snapshot local detection takes on every
-	// block; the detector consumes it synchronously, so one buffer and one
-	// detector per manager make the block path allocation-free.
-	edgeBuf []cc.Edge
-	det     cc.Detector
 	// deferredFree recycles finished deferred-write acquisitions.
 	deferredFree []*deferredLocks
 }
@@ -108,10 +117,9 @@ func (m *manager) Timeouts() int64 { return m.timeouts }
 
 func (m *manager) Kind() cc.Kind { return m.kind }
 
-// WaitsForEdges exposes the node's waits-for graph to the Snoop. It
-// allocates a fresh slice: the Snoop's snapshot travels through a mailbox
-// and must survive later lock-table activity on this node, so it cannot
-// alias the local-detection scratch buffer.
+// WaitsForEdges returns the node's waits-for graph in a fresh slice, for
+// tests; detection and the Snoop read the lock table into their own
+// buffers.
 func (m *manager) WaitsForEdges() []cc.Edge { return m.lt.WaitsForEdges(m.env.Node) }
 
 // LockTable exposes the underlying table for invariant checks in tests.
@@ -149,8 +157,9 @@ func (m *manager) Access(co *cc.CohortMeta, page db.PageID, write bool) cc.Outco
 		return co.Block()
 	}
 	// Local deadlock detection occurs whenever a cohort blocks.
-	m.edgeBuf = m.lt.AppendWaitsForEdges(m.env.Node, m.edgeBuf[:0])
-	for _, v := range m.det.FindVictims(m.edgeBuf) {
+	a := m.a
+	a.edges = m.lt.AppendWaitsForEdges(m.env.Node, a.edges[:0])
+	for _, v := range a.det.FindVictims(a.edges) {
 		v.RequestAbort(m.env.Node, "local deadlock", cc.CauseLocalDeadlock)
 	}
 	if co.Txn.AbortRequested {
@@ -239,38 +248,37 @@ func (d *deferredLocks) finish(ok bool) {
 	done(ok)
 }
 
-// snoopNode is the Snoop's per-node state: the node's manager and the
-// reused buffer its waits-for snapshot is collected into. The buffer is
-// refilled at most once per round and the snoop copies every reply out
-// before the next round begins, so reuse cannot alias live data.
-type snoopNode struct {
-	mgr   *manager
-	edges []cc.Edge
-}
-
 // snoop is the rotating global deadlock detector: each node in turn waits
 // DetectionIntervalMs, gathers waits-for edges from all other nodes via
 // real (CPU-costed) messages, resolves global cycles, and passes the role
 // to the next node round-robin.
 //
-// The request and reply continuations for every (snoop node, polled node)
-// pair are bound once at startup and each node's snapshot lives in a
-// reused buffer, so the rounds themselves — which run for the whole
+// A round gathers into one buffer: the Snoop node's own snapshot first,
+// then each polled node's, appended when the request reaches that node;
+// the reply only counts. Edge order is free to follow request arrival
+// because FindVictims sorts nodes and adjacency rows by transaction, and
+// control messages are exempt from loss and duplication, so every polled
+// node appends exactly once per round. The request continuations are
+// bound once at startup, so the rounds — which run for the whole
 // simulation at the detection interval — are allocation-free in steady
 // state.
 type snoop struct {
-	k        sim.Cont
-	a        *Algorithm
-	g        cc.GlobalEnv
-	mail     sim.Mailbox
-	nodes    []snoopNode
-	requests [][]func() // [snoop node][polled node]
-	all      []cc.Edge
-	det      cc.Detector // reused across rounds; victims are consumed before the next one
-	node     int         // the node holding the Snoop role
-	expect   int         // replies this round asked for
-	got      int         // replies consumed so far
-	round    bool        // a round's requests are out
+	k     sim.Cont
+	a     *Algorithm
+	g     cc.GlobalEnv
+	mail  sim.Mailbox
+	lts   []*cc.LockTable // [node]
+	polls []func()        // [polled node]: snapshot into all, then reply
+	reply func()
+	all   []cc.Edge
+	// det is the Snoop's own detector: sized for n nodes' edges, it
+	// would keep that array live after the run if the machine's
+	// local-detection detector were grown to it instead.
+	det    cc.Detector
+	node   int  // the node holding the Snoop role
+	expect int  // replies this round asked for
+	got    int  // replies consumed so far
+	round  bool // a round's requests are out
 }
 
 // StartGlobal starts the Snoop process at the current time.
@@ -282,32 +290,20 @@ func (a *Algorithm) StartGlobal(g cc.GlobalEnv) {
 	if n < 2 {
 		return // local detection already sees the whole graph
 	}
-	sn := &snoop{a: a, g: g, nodes: make([]snoopNode, n)}
-	for o := range sn.nodes {
-		sn.nodes[o].mgr = g.ManagerAt(o).(*manager)
-	}
-	sn.requests = make([][]func(), n)
-	for at := 0; at < n; at++ {
-		sn.requests[at] = make([]func(), n)
-		for o := 0; o < n; o++ {
-			if o == at {
-				continue
-			}
-			at, o, nd := at, o, &sn.nodes[o]
-			reply := func() { sn.mail.Send(&nd.edges) }
-			sn.requests[at][o] = func() {
-				nd.edges = nd.mgr.lt.AppendWaitsForEdges(o, nd.edges[:0])
-				g.SendControl(o, at, reply)
-			}
+	sn := &snoop{a: a, g: g, lts: make([]*cc.LockTable, n), polls: make([]func(), n)}
+	sn.reply = func() { sn.mail.Send(nil) }
+	for o := range sn.lts {
+		lt := g.ManagerAt(o).(*manager).lt
+		sn.lts[o] = lt
+		sn.polls[o] = func() {
+			sn.all = lt.AppendWaitsForEdges(o, sn.all)
+			g.SendControl(o, sn.node, sn.reply)
 		}
 	}
 	if a.MaxTxns > 0 {
-		e := a.maxEdges()
-		for o := range sn.nodes {
-			sn.nodes[o].edges = make([]cc.Edge, 0, e)
-		}
-		sn.all = make([]cc.Edge, 0, n*e)
-		sn.det.Reserve(a.MaxTxns, n*e)
+		e := n * a.maxEdges()
+		sn.all = make([]cc.Edge, 0, e)
+		sn.det.Reserve(a.MaxTxns, e)
 	}
 	sn.k.Init(g.Sim(), sn.step)
 	sn.k.Resume()
@@ -322,29 +318,27 @@ func (sn *snoop) step() {
 		return
 	}
 	if sn.expect == 0 {
-		// The interval has passed: poll every other node and start from
-		// this node's own edges.
-		for o := range sn.nodes {
+		// The interval has passed: start from this node's own edges, then
+		// poll every other node.
+		sn.all = sn.lts[sn.node].AppendWaitsForEdges(sn.node, sn.all[:0])
+		for o := range sn.lts {
 			if o == sn.node {
 				continue
 			}
 			sn.expect++
-			sn.g.SendControl(sn.node, o, sn.requests[sn.node][o])
+			sn.g.SendControl(sn.node, o, sn.polls[o])
 		}
-		sn.all = sn.nodes[sn.node].mgr.lt.AppendWaitsForEdges(sn.node, sn.all[:0])
 	}
 	for sn.got < sn.expect {
-		msg, ok := sn.mail.Recv(&sn.k)
-		if !ok {
+		if _, ok := sn.mail.Recv(&sn.k); !ok {
 			return
 		}
-		sn.all = append(sn.all, *msg.(*[]cc.Edge)...)
 		sn.got++
 	}
 	for _, v := range sn.det.FindVictims(sn.all) {
 		v.RequestAbort(sn.node, "global deadlock", cc.CauseGlobalDeadlock)
 	}
-	sn.node = (sn.node + 1) % len(sn.nodes)
+	sn.node = (sn.node + 1) % len(sn.lts)
 	sn.expect, sn.got = 0, 0
 	sn.k.Delay(sn.a.DetectionIntervalMs)
 }

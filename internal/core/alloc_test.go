@@ -31,6 +31,13 @@ import (
 // deferred write locks of commit phase one) and NO_DC (the path with no
 // data contention) run under logged 2PC. Only BTO and OPT still allocate
 // in this window and are not pinned.
+//
+// The per-cohort pools are sized from the placement, so two more 2PL cases
+// cover the placements where that bound exceeds one partition's page
+// maximum: replicas2-defer (two copies of every file, remote-copy write
+// locks deferred to commit, so writes add accesses at a second node) and
+// ways2 (PartitionWays 2, several partitions of a relation per node). An
+// under-counted bound shows up here as allocations.
 func TestTxnPathAllocFree(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -39,15 +46,16 @@ func TestTxnPathAllocFree(t *testing.T) {
 		logging   bool
 		breakdown bool
 		armed     bool
+		place     func(*Config) // placement knobs; nil keeps testConfig's
 	}{
-		{"2PC-logging", cc.TwoPL, commit.CentralizedTwoPC, true, false, false},
-		{"PA-logging", cc.TwoPL, commit.PresumedAbort, true, false, false},
-		{"PC-logging", cc.TwoPL, commit.PresumedCommit, true, false, false},
-		{"2PC-nologging", cc.TwoPL, commit.CentralizedTwoPC, false, false, false},
-		{"2PC-logging-breakdown", cc.TwoPL, commit.CentralizedTwoPC, true, true, false},
-		{"PA-logging-breakdown", cc.TwoPL, commit.PresumedAbort, true, true, false},
-		{"PC-logging-breakdown", cc.TwoPL, commit.PresumedCommit, true, true, false},
-		{"2PC-nologging-breakdown", cc.TwoPL, commit.CentralizedTwoPC, false, true, false},
+		{"2PC-logging", cc.TwoPL, commit.CentralizedTwoPC, true, false, false, nil},
+		{"PA-logging", cc.TwoPL, commit.PresumedAbort, true, false, false, nil},
+		{"PC-logging", cc.TwoPL, commit.PresumedCommit, true, false, false, nil},
+		{"2PC-nologging", cc.TwoPL, commit.CentralizedTwoPC, false, false, false, nil},
+		{"2PC-logging-breakdown", cc.TwoPL, commit.CentralizedTwoPC, true, true, false, nil},
+		{"PA-logging-breakdown", cc.TwoPL, commit.PresumedAbort, true, true, false, nil},
+		{"PC-logging-breakdown", cc.TwoPL, commit.PresumedCommit, true, true, false, nil},
+		{"2PC-nologging-breakdown", cc.TwoPL, commit.CentralizedTwoPC, false, true, false, nil},
 		// The armed case pins the fault seams themselves: with an injector
 		// built but its schedule never firing, the per-attempt and
 		// per-cohort registries, in-doubt windows and simulated WAL all
@@ -55,10 +63,16 @@ func TestTxnPathAllocFree(t *testing.T) {
 		// state once grown to their high-water marks. (The disabled cases
 		// above pin the nil-injector path: Config.Faults zero means no
 		// fault state exists at all.)
-		{"2PC-logging-faults-armed", cc.TwoPL, commit.CentralizedTwoPC, true, false, true},
-		{"WW-2PC-logging", cc.WoundWait, commit.CentralizedTwoPC, true, false, false},
-		{"O2PL-2PC-logging", cc.O2PL, commit.CentralizedTwoPC, true, false, false},
-		{"NO_DC-2PC-logging", cc.NoDC, commit.CentralizedTwoPC, true, false, false},
+		{"2PC-logging-faults-armed", cc.TwoPL, commit.CentralizedTwoPC, true, false, true, nil},
+		{"WW-2PC-logging", cc.WoundWait, commit.CentralizedTwoPC, true, false, false, nil},
+		{"O2PL-2PC-logging", cc.O2PL, commit.CentralizedTwoPC, true, false, false, nil},
+		{"NO_DC-2PC-logging", cc.NoDC, commit.CentralizedTwoPC, true, false, false, nil},
+		{"2PL-replicas2-defer", cc.TwoPL, commit.CentralizedTwoPC, true, false, false, func(c *Config) {
+			c.ReplicaCount, c.DeferRemoteWriteLocks = 2, true
+		}},
+		{"2PL-ways2", cc.TwoPL, commit.CentralizedTwoPC, true, false, false, func(c *Config) {
+			c.PartitionWays = 2
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,6 +80,9 @@ func TestTxnPathAllocFree(t *testing.T) {
 			cfg.CommitProtocol = tc.proto
 			cfg.ModelLogging = tc.logging
 			cfg.Breakdown = tc.breakdown
+			if tc.place != nil {
+				tc.place(&cfg)
+			}
 			if tc.armed {
 				cfg.Faults = fault.Config{
 					Enabled:           true,
@@ -147,4 +164,33 @@ func warmThreads() {
 		close(release)
 		done.Wait()
 	})
+}
+
+// TestNewMachineFootprint bounds what building the paper's Table 4 machine
+// allocates. Every pool is sized from the placement (12 accesses per
+// cohort there, not the 96 of all partitions at one node) and carved from
+// a few slabs, so a return to worst-case sizing or to one object per
+// pooled record fails here, without running the benchmark.
+func TestNewMachineFootprint(t *testing.T) {
+	const maxBytes, maxObjects = 8 << 20, 10_000
+	cfg := DefaultConfig()
+	cfg.ThinkTimeMs = 4000
+	cfg.SimTimeMs, cfg.WarmupMs = 240_000, 30_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := NewMachine(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(m)
+	bytes, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("NewMachine: %d bytes in %d objects", bytes, objects)
+	if bytes > maxBytes {
+		t.Errorf("NewMachine allocated %d bytes, want at most %d", bytes, maxBytes)
+	}
+	if objects > maxObjects {
+		t.Errorf("NewMachine allocated %d objects, want at most %d", objects, maxObjects)
+	}
 }

@@ -179,10 +179,15 @@ func NewMachine(cfg Config) (*Machine, error) {
 	//
 	// At most NumTerminals transaction attempts exist at once; a restarting
 	// terminal can briefly pin a second plan through in-flight messages.
-	// The CPU job and disk backlog bounds are generous multiples rather
-	// than hard invariants — queues are open, bounded only by service-rate
-	// stability — chosen far above any backlog a saturated configuration
-	// reaches.
+	// Per-cohort storage (plan accesses, held locks, deferred write locks)
+	// is sized from the placement: MaxAccessesPerCohort is the most
+	// partitions of one relation with a copy at one node times the page
+	// maximum, 12 on Table 4 rather than the 96 of all partitions at one
+	// node. The CPU job and disk backlog bounds are generous multiples
+	// rather than hard invariants — queues are open, bounded only by
+	// service-rate stability — chosen far above any backlog a saturated
+	// configuration reaches.
+	perCohort := m.gen.MaxAccessesPerCohort()
 	m.gen.Reserve(2 * cfg.NumTerminals)
 	m.net.Reserve(8 * cfg.NumTerminals)
 	for _, c := range m.cpus {
@@ -220,11 +225,13 @@ func NewMachine(cfg Config) (*Machine, error) {
 		return nil, fmt.Errorf("core: unknown algorithm %v", cfg.Algorithm)
 	}
 	if cfg.Algorithm == cc.O2PL || cfg.DeferRemoteWriteLocks {
-		m.deferredCap = m.gen.MaxAccessesPerCohort()
+		m.deferredCap = perCohort
 	}
 	if a, ok := m.algo.(*twopl.Algorithm); ok {
+		// The managers built below share the algorithm's local-detection
+		// scratch; the lock tables are per node.
 		a.MaxTxns = cfg.NumTerminals
-		a.MaxLocksPerCohort = m.gen.MaxAccessesPerCohort()
+		a.MaxLocksPerCohort = perCohort
 	}
 	for i := 0; i < cfg.NumProcNodes; i++ {
 		m.mgrs = append(m.mgrs, m.algo.NewManager(cc.Env{Sim: s, Node: i}))

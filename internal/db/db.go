@@ -4,7 +4,10 @@
 // nodes determines the degree of intra-transaction parallelism.
 package db
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PageID names one page of one file.
 type PageID struct {
@@ -42,9 +45,10 @@ func (c *Catalog) FileOf(rel, part int) int { return rel*c.PartsPerRelation + pa
 func (c *Catalog) NodeOf(file int) int { return c.FileNode[file] }
 
 // Replicas returns every node holding a copy of the file, primary first.
+// The slice is the catalog's own: callers must not modify it.
 func (c *Catalog) Replicas(file int) []int {
 	if c.FileReplicas == nil {
-		return []int{c.FileNode[file]} //ddbmlint:allow hotpath-alloc unreplicated-catalog branch; hot callers guard with ReplicaCount() > 1
+		return c.FileNode[file : file+1 : file+1]
 	}
 	return c.FileReplicas[file]
 }
@@ -77,6 +81,44 @@ func (c *Catalog) Replicate(n, numNodes int) error {
 		c.FileReplicas[f] = copies
 	}
 	return nil
+}
+
+// NumNodes returns the number of processing nodes the placement spans: one
+// more than the highest node holding a copy of any file.
+func (c *Catalog) NumNodes() int {
+	n := 0
+	for _, p := range c.FileNode {
+		n = max(n, p+1)
+	}
+	for _, copies := range c.FileReplicas {
+		for _, p := range copies {
+			n = max(n, p+1)
+		}
+	}
+	return n
+}
+
+// MaxPartsAtNode returns the most partitions of one relation that have a
+// copy, primary or replica, at one node. A transaction touches one
+// relation, and each of its partitions adds at most one page draw to a
+// node (as the node's own partition or as remote copies of its writes; a
+// replica list names a node at most once), so this count times the page
+// maximum bounds one cohort's accesses. It walks the whole placement once
+// per node: call it at set-up, not per transaction.
+func (c *Catalog) MaxPartsAtNode() int {
+	most := 0
+	for n := range c.NumNodes() {
+		for rel := 0; rel < c.NumRelations; rel++ {
+			count := 0
+			for part := 0; part < c.PartsPerRelation; part++ {
+				if slices.Contains(c.Replicas(c.FileOf(rel, part)), n) {
+					count++
+				}
+			}
+			most = max(most, count)
+		}
+	}
+	return most
 }
 
 // RelationNodes returns, for relation rel, the ordered list of distinct

@@ -317,3 +317,48 @@ func TestPageIDString(t *testing.T) {
 		t.Errorf("PageID string %q", got)
 	}
 }
+
+func TestMaxPartsAtNode(t *testing.T) {
+	scaled := func(nodes, replicas int) *Catalog {
+		c, err := PlaceScaled(8, 8, 300, nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Replicate(replicas, nodes); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	partitioned := func(ways int) *Catalog {
+		c, err := PlacePartitioned(8, 8, 300, 8, ways)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	cases := []struct {
+		name  string
+		c     *Catalog
+		nodes int
+		want  int
+	}{
+		{"table4", scaled(8, 1), 8, 1},
+		{"scaled-4", scaled(4, 1), 4, 2},
+		{"scaled-1", scaled(1, 1), 1, 8},
+		// Replicate(2) on 8 nodes puts each node's neighbour's partition
+		// beside its own.
+		{"table4-replicas2", scaled(8, 2), 8, 2},
+		{"scaled-4-replicas3", scaled(4, 3), 4, 6},
+		{"ways1", partitioned(1), 8, 8},
+		{"ways2", partitioned(2), 8, 4},
+		{"ways8", partitioned(8), 8, 1},
+	}
+	for _, tc := range cases {
+		if got := tc.c.NumNodes(); got != tc.nodes {
+			t.Errorf("%s: NumNodes = %d, want %d", tc.name, got, tc.nodes)
+		}
+		if got := tc.c.MaxPartsAtNode(); got != tc.want {
+			t.Errorf("%s: MaxPartsAtNode = %d, want %d", tc.name, got, tc.want)
+		}
+	}
+}

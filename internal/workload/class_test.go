@@ -158,3 +158,38 @@ func TestClassPlanReplicationInteraction(t *testing.T) {
 		t.Fatalf("WriteProb=1 with 2 copies: %d local vs %d remote writes, want equal", local, remote)
 	}
 }
+
+// TestDefaultClassLookupsAllocFree pins the single-class generator's class
+// lookups at zero allocations: the default class lives in the generator,
+// not in a slice built per call. NewPlan may allocate only what building
+// the plan itself does, the same as NewClassPlan with that class.
+func TestDefaultClassLookupsAllocFree(t *testing.T) {
+	g := gen(t, 8)
+	lookups := []struct {
+		name string
+		f    func()
+	}{
+		{"NumClasses", func() { _ = g.NumClasses() }},
+		{"ClassOfTerminal", func() { _ = g.ClassOfTerminal(3, 128) }},
+		{"ClassIndexOfTerminal", func() { _ = g.ClassIndexOfTerminal(3, 128) }},
+		{"MaxAccessesPerCohort", func() { _ = g.MaxAccessesPerCohort() }},
+	}
+	for _, l := range lookups {
+		if n := testing.AllocsPerRun(100, l.f); n != 0 {
+			t.Errorf("%s: %v allocations per call, want 0", l.name, n)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	cls := g.ClassOfTerminal(0, 1)
+	viaDefault := testing.AllocsPerRun(100, func() {
+		r.Seed(1)
+		_ = g.NewPlan(r, 0)
+	})
+	viaClass := testing.AllocsPerRun(100, func() {
+		r.Seed(1)
+		_ = g.NewClassPlan(r, 0, cls)
+	})
+	if viaDefault != viaClass {
+		t.Errorf("NewPlan: %v allocations per plan, NewClassPlan with the same class %v", viaDefault, viaClass)
+	}
+}

@@ -166,6 +166,10 @@ type Generator struct {
 	// free holds recycled transaction plans; Release returns a plan here
 	// once its last reference drops.
 	free []*TxnPlan
+
+	// def backs the effective class list of a single-class generator, so
+	// classes() returns a slice of it instead of building one per call.
+	def [1]Class
 }
 
 // Validate checks the generator's parameters.
@@ -206,12 +210,13 @@ func (g *Generator) classes() []Class {
 	if len(g.Classes) > 0 {
 		return g.Classes
 	}
-	return []Class{{
+	g.def[0] = Class{
 		Frac:        1,
 		AvgPages:    g.AvgPages,
 		WriteProb:   g.WriteProb,
 		InstPerPage: g.InstPerPage,
-	}}
+	}
+	return g.def[:]
 }
 
 // NumClasses returns the number of effective transaction classes (1 for
@@ -308,15 +313,16 @@ func (g *Generator) maxPagesPerPartition() int {
 	return hiMax
 }
 
-// MaxAccessesPerCohort bounds the accesses one cohort can be planned with.
-// Each partition of the relation contributes at most a worst-case page
-// draw to a given node — as the node's own partition or as one remote
-// replica copy of its writes (a file's replica list names a node at most
-// once) — so the bound is partitions times the worst-case per-partition
-// page count. Exposed so the machine can size per-cohort resources (lock
-// tables) with the same bound.
+// MaxAccessesPerCohort bounds the accesses one cohort can be planned with:
+// db.Catalog.MaxPartsAtNode, the most partitions of one relation with a
+// copy at one node, times the worst-case page draw. Each of those
+// partitions adds at most one draw to the node, as the node's own
+// partition or as remote copies of its writes. On the paper's Table 4
+// placement that is 1 × 12. The machine sizes per-cohort resources (lock
+// tables, deferred write-lock buffers) with the same bound. It walks the
+// placement, so call it at set-up.
 func (g *Generator) MaxAccessesPerCohort() int {
-	return g.Catalog.PartsPerRelation * g.maxPagesPerPartition()
+	return g.Catalog.MaxPartsAtNode() * g.maxPagesPerPartition()
 }
 
 // Reserve pre-builds pooled plan shells, each with cohort and access
@@ -325,35 +331,37 @@ func (g *Generator) MaxAccessesPerCohort() int {
 // high-water records (most live plans at once, widest plan seen) that
 // arrive too rarely for a warmup to retire deterministically — holders
 // with a pinned allocation budget pre-size from the machine's concurrency
-// bound instead. Reserve draws no randomness, so pooled plans built after
-// it are bit-identical to plans built without it.
+// bound instead. The plans, their cohort arrays and their access arrays
+// are carved from one slice each; an access array's capacity is capped at
+// the per-cohort bound, so an append past it reallocates rather than run
+// into a neighbour. Reserve draws no randomness, so pooled plans built
+// after it are bit-identical to plans built without it.
 func (g *Generator) Reserve(plans int) {
-	numNodes := 0
-	for _, n := range g.Catalog.FileNode {
-		numNodes = max(numNodes, n+1)
-	}
-	for _, copies := range g.Catalog.FileReplicas {
-		for _, n := range copies {
-			numNodes = max(numNodes, n+1)
-		}
-	}
+	numNodes := g.Catalog.NumNodes()
 	acc := g.MaxAccessesPerCohort()
 	if cap(g.free) < plans {
 		f := make([]*TxnPlan, len(g.free), plans)
 		copy(f, g.free)
 		g.free = f
 	}
-	for len(g.free) < plans {
-		p := &TxnPlan{Cohorts: make([]CohortPlan, numNodes)}
-		for i := range p.Cohorts {
-			p.Cohorts[i].Accesses = make([]Access, 0, acc)
+	if n := plans - len(g.free); n > 0 {
+		shells := make([]TxnPlan, n)
+		cohorts := make([]CohortPlan, n*numNodes)
+		accesses := make([]Access, n*numNodes*acc)
+		for i := range shells {
+			row := cohorts[i*numNodes : (i+1)*numNodes : (i+1)*numNodes]
+			for j := range row {
+				off := (i*numNodes + j) * acc
+				row[j].Accesses = accesses[off : off : off+acc]
+			}
+			shells[i].Cohorts = row[:0]
+			g.free = append(g.free, &shells[i])
 		}
-		p.Cohorts = p.Cohorts[:0]
-		g.free = append(g.free, p)
 	}
-	// Remote-copy staging: every write can fan out to each extra replica.
+	// Remote-copy staging: every write of the transaction can fan out to
+	// each extra replica.
 	if rc := g.Catalog.ReplicaCount(); rc > 1 {
-		if n := acc * (rc - 1); cap(g.remote) < n {
+		if n := g.Catalog.PartsPerRelation * g.maxPagesPerPartition() * (rc - 1); cap(g.remote) < n {
 			g.remote = make([]Access, 0, n)
 			g.remoteAt = make([]int, 0, n)
 		}
