@@ -58,8 +58,8 @@ go test -race -short ./...
 echo "== kernel benchmark smoke"
 # Raw events and the continuation handle every simulation process runs on:
 # a process hold and a mailbox round trip, one event per resumption, and
-# the in-place move of a pending resumption (the CPU's next completion).
-go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkContDelay|BenchmarkContMailbox|BenchmarkContReschedule' \
+# the move of a timer's pending firing (the CPU's next completion).
+go test -run '^$' -bench 'BenchmarkEventThroughput|BenchmarkContDelay|BenchmarkContMailbox|BenchmarkTimerSet' \
   -benchtime 0.1s -benchmem ./internal/sim/
 
 echo "== lock-manager benchmark smoke"

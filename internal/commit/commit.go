@@ -93,11 +93,14 @@ type Vote struct {
 // Ack acknowledges an abort message at the coordinator.
 type Ack struct{ Idx int }
 
-// AbortSignal marks transaction-manager messages that demand the attempt
-// abort (cohort self-aborts, remote wound and deadlock-victim notices).
-// The vote collection loop treats any such message as a failed prepare
-// phase.
-type AbortSignal interface{ CommitAbortSignal() }
+// AbortSignal is the transaction manager's message demanding that the
+// attempt abort: a cohort's self-abort (Idx is the cohort's index) or a
+// remote wound or deadlock-victim notice (Idx is -1). The vote collection
+// loop treats it as a failed prepare phase. It is a concrete type, so the
+// mail loops' type switches match every message by its type word alone;
+// an interface case sends the messages it does not match through the
+// runtime, which builds that switch's type cache at a random call.
+type AbortSignal struct{ Idx int }
 
 // Message tags for the typed network envelopes the protocol exchanges.
 // Cohort implements network.Handler: node-bound tags run the cohort-side

@@ -392,16 +392,12 @@ func TestAbortSignalDuringVotes(t *testing.T) {
 	for _, k := range Kinds() {
 		env := newTestEnv(2, false)
 		txn := env.newTxn()
-		txn.Mail.Send(testAbortSignal{})
+		txn.Mail.Send(&AbortSignal{Idx: -1})
 		if runCommit(t, k, env, txn) {
 			t.Fatalf("%v: committed past an abort signal", k)
 		}
 	}
 }
-
-type testAbortSignal struct{}
-
-func (testAbortSignal) CommitAbortSignal() {}
 
 // TestAbortRacedBehindLastVote: an abort requested after the votes are in
 // but before the decision (e.g. while the commit record is being forced)

@@ -348,7 +348,7 @@ func (tp *Protocol) collectVotes(k *sim.Cont, t *Txn) (over, yes bool) {
 				return true, false
 			}
 			t.pending--
-		case AbortSignal:
+		case *AbortSignal:
 			return true, false
 		}
 	}

@@ -11,13 +11,6 @@ import (
 	"ddbm/internal/workload"
 )
 
-// The coordinator's abort-demanding mailbox messages satisfy
-// commit.AbortSignal so the protocol layer's vote collection treats them as
-// a failed prepare phase. Pointer receivers: the messages travel by
-// pointer out of the free-listed attempt state.
-func (*msgSelfAbort) CommitAbortSignal()   {}
-func (*msgAbortNotice) CommitAbortSignal() {}
-
 // protocolEnv adapts one transaction attempt's view of the machine to
 // commit.Env: it is the narrow facade through which a commit protocol
 // drives the network, the per-node managers, the log disks, and the

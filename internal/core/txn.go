@@ -14,14 +14,11 @@ import (
 // node sends to the coordinator travels through the network with full CPU
 // costs. The messages are embedded in the free-listed attempt state and
 // travel by pointer, so sending one allocates nothing. The commit
-// protocol's own messages (votes, acks) are defined in internal/commit;
-// the abort-demanding messages here implement commit.AbortSignal (see
-// protocol.go).
-type (
-	msgCohortDone  struct{ idx int }
-	msgSelfAbort   struct{ idx int }
-	msgAbortNotice struct{}
-)
+// protocol's own messages (votes, acks) are defined in internal/commit,
+// and so is the abort-demanding message, commit.AbortSignal, which the
+// protocol's vote collection also reads: a cohort's self-abort carries the
+// cohort's index, an attempt-level abort notice -1.
+type msgCohortDone struct{ idx int }
 
 // Message tags for the typed network envelopes of the work phase. Tag
 // namespaces are per-handler: cohortRun handles the cohort tags,
@@ -75,7 +72,7 @@ type attemptState struct {
 	// is off): the coordinator-timeline account this attempt spends into.
 	bd *obs.Ledger
 
-	abortNotice msgAbortNotice
+	abortNotice commit.AbortSignal // Idx -1, set once at pool growth
 	onAbortFn   func(fromNode int) // a.onAbort, bound once
 
 	// liveIdx is the attempt's slot in the fault layer's live-attempt
@@ -100,7 +97,7 @@ type cohortRun struct {
 	m *Machine
 
 	doneMsg      msgCohortDone
-	selfAbortMsg msgSelfAbort
+	selfAbortMsg commit.AbortSignal
 
 	spawnFn   func()                              // c.spawn, bound once
 	blockedFn func(co *cc.CohortMeta, d sim.Time) // c.blocked, bound once
@@ -150,7 +147,7 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 		m.attemptFree[k-1] = nil
 		m.attemptFree = m.attemptFree[:k-1]
 	} else {
-		a = &attemptState{m: m} //ddbmlint:allow hotpath-alloc pool growth: one state per high-water concurrent attempt
+		a = &attemptState{m: m, abortNotice: commit.AbortSignal{Idx: -1}} //ddbmlint:allow hotpath-alloc pool growth: one state per high-water concurrent attempt
 		a.onAbortFn = a.onAbort
 		a.env.m = m
 		a.env.a = a
@@ -250,7 +247,7 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 	c := a.runs[n]
 	c.idx, c.attempt, c.plan = n, attemptNo, cp
 	c.doneMsg = msgCohortDone{idx: n}
-	c.selfAbortMsg = msgSelfAbort{idx: n}
+	c.selfAbortMsg = commit.AbortSignal{Idx: n}
 	c.reads = c.reads[:0]
 	c.bd = nil
 	if a.bd != nil {
@@ -592,11 +589,8 @@ func (t *terminal) awaitDone() (ok, waiting bool) {
 		case *msgCohortDone:
 			t.await--
 			t.crit = msg.idx
-		case *msgSelfAbort:
-			t.crit = msg.idx
-			return false, false
-		case *msgAbortNotice:
-			t.crit = -1
+		case *commit.AbortSignal:
+			t.crit = msg.Idx
 			return false, false
 		}
 	}

@@ -19,8 +19,9 @@ type allocSite struct {
 // external and not listed here is opaque to the analysis and flagged on
 // hot paths.
 var allocExternal = map[string]map[string]bool{
-	"math": nil, // pure arithmetic
-	"cmp":  nil, // comparisons
+	"math":      nil, // pure arithmetic
+	"math/bits": nil, // pure integer arithmetic on words
+	"cmp":       nil, // comparisons
 	"math/rand": {
 		// The table-driven and rejection-sampling draws on an existing
 		// *rand.Rand are allocation-free; constructors and Perm are not.

@@ -15,8 +15,9 @@ import (
 )
 
 // Unit is one type-checked body of files: a package together with its
-// in-package _test.go files, an external (package foo_test) test package,
-// or — for packages pulled in only as dependencies of the lint targets —
+// in-package _test.go files, an external (package foo_test) test package
+// (checked, as go test compiles it, against the former), or — for
+// packages pulled in only as dependencies of the lint targets —
 // the import view of the package (non-test files only). Test membership
 // is tracked per file so policies can exempt tests without a second load
 // path.
@@ -66,6 +67,12 @@ type Loader struct {
 	imports map[string]*impView // import view per module package path
 	loading map[string]bool
 	parsed  map[string]*parsedDir // keyed by cleaned directory path
+
+	// base, set on a test variant (testVariant), supplies the import view
+	// of every module package that does not import under, the package
+	// whose external tests the variant checks.
+	base  *Loader
+	under string
 }
 
 // NewLoader creates a loader for the module rooted at root.
@@ -112,6 +119,9 @@ func (l *Loader) dirFor(path string) string {
 // importer — non-test files only — so in-package test files can never
 // manufacture an import cycle.
 func (l *Loader) Import(path string) (*types.Package, error) {
+	if v, ok := l.imports[path]; ok {
+		return v.pkg, nil
+	}
 	if !pathMatch(path, l.Module) {
 		return l.std.Import(path)
 	}
@@ -128,6 +138,16 @@ func (l *Loader) importView(path string) (*impView, error) {
 	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("lint: import cycle through %q", path)
+	}
+	if l.base != nil {
+		v, err := l.base.importView(path)
+		if err != nil {
+			return nil, err
+		}
+		if !importsPath(v.pkg, l.under, map[*types.Package]bool{}) {
+			l.imports[path] = v
+			return v, nil
+		}
 	}
 	l.loading[path] = true
 	defer delete(l.loading, path)
@@ -240,23 +260,67 @@ func (l *Loader) LoadDir(dir, pkgPath string) ([]*Unit, error) {
 		}
 	}
 	var units []*Unit
+	xl := l
 	if len(pd.files)+len(inPkg) > 0 {
 		u, err := l.unit(pkgPath, dir, append(append([]*ast.File{}, pd.files...), inPkg...), inPkg)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
+		if len(inPkg) > 0 {
+			xl = l.testVariant(pkgPath, u)
+		}
 	}
 	if len(external) > 0 {
 		// A distinct path: checking "p_test" while importing "p" must not
 		// look like a self-import.
-		u, err := l.unit(pkgPath+"_test", dir, external, external)
+		u, err := xl.unit(pkgPath+"_test", dir, external, external)
 		if err != nil {
 			return nil, err
 		}
 		units = append(units, u)
 	}
 	return units, nil
+}
+
+// testVariant returns a loader that resolves path to the test-augmented
+// unit u, the package with its in-package _test.go files, as go test
+// compiles an external test package against it: a helper that an
+// export_test.go file adds is then in scope. As go test does, the variant
+// checks again from source (sharing the parse) every module package that
+// imports path, directly or not, so it agrees with the test on path's
+// types; every other package keeps its one import view. The variant's
+// views feed no call graph: they are the same files, and the graph
+// matches functions by position.
+func (l *Loader) testVariant(path string, u *Unit) *Loader {
+	return &Loader{
+		Fset:    l.Fset,
+		Root:    l.Root,
+		Module:  l.Module,
+		std:     l.std,
+		imports: map[string]*impView{path: {pkg: u.Pkg, info: u.Info, files: u.Files}},
+		loading: map[string]bool{},
+		parsed:  l.parsed,
+		base:    l,
+		under:   path,
+	}
+}
+
+// importsPath reports whether pkg imports the package at path, directly
+// or through its imports.
+func importsPath(pkg *types.Package, path string, seen map[*types.Package]bool) bool {
+	for _, p := range pkg.Imports() {
+		if p.Path() == path {
+			return true
+		}
+		if !seen[p] {
+			seen[p] = true
+			if importsPath(p, path, seen) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func (l *Loader) unit(path, dir string, files, testFiles []*ast.File) (*Unit, error) {

@@ -63,10 +63,10 @@ type CPU struct {
 	finScratch []cpuJob
 
 	lastT sim.Time
-	// next resumes complete when the earliest job is due; reschedule
-	// moves it on every state change. Like every pending continuation, it
-	// leaves the queue when Sim.Run returns.
-	next sim.Cont
+	// next fires complete when the earliest job is due; reschedule moves
+	// it on every state change. Like every pending timer, it is disarmed
+	// when Sim.Run returns.
+	next sim.Timer
 
 	busyPS  float64 // ms spent on processor-sharing work
 	busyMsg float64 // ms spent on message processing
@@ -244,8 +244,8 @@ func (c *CPU) advance() {
 	}
 }
 
-// reschedule moves the next completion event to the earliest job's
-// finish time, in place; an idle CPU has none.
+// reschedule moves the next completion to the earliest job's finish
+// time; an idle CPU has none.
 //
 //ddbmlint:hotpath completion scheduling on every CPU state change
 func (c *CPU) reschedule() {
@@ -262,16 +262,16 @@ func (c *CPU) reschedule() {
 		}
 		dt = min * float64(len(c.ps)) / c.rate
 	default:
-		c.next.Cancel()
+		c.next.Stop()
 		return
 	}
-	c.next.Reschedule(dt)
+	c.next.Set(dt)
 }
 
 // complete fires when the earliest job should have finished. Finished jobs
 // are copied into the reused scratch buffer so their callbacks run after
-// the next completion event is in place, exactly as before the queues
-// became allocation-free.
+// the next completion is in place, exactly as before the queues became
+// allocation-free.
 //
 //ddbmlint:hotpath CPU completion dispatch pinned by TestTxnPathAllocFree
 func (c *CPU) complete() {
@@ -320,7 +320,7 @@ func (c *CPU) complete() {
 // repair.
 func (c *CPU) Crash() {
 	c.advance()
-	c.next.Cancel()
+	c.next.Stop()
 	if c.tr != nil && c.msgLen+len(c.ps) > 0 {
 		c.tr.CPUBusy(c.node, c.busyStart)
 	}

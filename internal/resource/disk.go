@@ -80,21 +80,21 @@ func (q *reqQueue) grow() {
 
 // disk is a single spindle with one FIFO queue per class; writes are served
 // before reads (non-preemptively), per paper §3.4. The in-service request
-// lives in cur, and the pre-bound completeFn replaces the per-access
-// completion closure the serve loop used to allocate.
+// lives in cur, and its completion is the spindle's timer, bound once to
+// complete.
 type disk struct {
-	arr        *DiskArray
-	idx        int // spindle index within the array (trace lane)
-	busy       bool
-	reads      reqQueue
-	writes     reqQueue
-	cur        diskReq // request currently in service
-	curDur     float64 // its service time, for trace/busy accounting
-	lost       bool    // the in-service request was discarded by a crash
-	completeFn func()  // dk.complete, bound once at construction
-	busyTime   float64
-	nReads     int64
-	nWrites    int64
+	arr      *DiskArray
+	idx      int // spindle index within the array (trace lane)
+	busy     bool
+	reads    reqQueue
+	writes   reqQueue
+	cur      diskReq   // request currently in service
+	curDur   float64   // its service time, for trace/busy accounting
+	lost     bool      // the in-service request was discarded by a crash
+	done     sim.Timer // fires complete when cur's service ends
+	busyTime float64
+	nReads   int64
+	nWrites  int64
 }
 
 // DiskArray models the NumDisks disks of a node. Requests pick a disk
@@ -127,7 +127,7 @@ func NewDiskArray(s *sim.Sim, n int, minTime, maxTime float64) *DiskArray {
 	d := &DiskArray{sim: s, minTime: minTime, maxTime: maxTime}
 	for i := 0; i < n; i++ {
 		dk := &disk{arr: d, idx: i}
-		dk.completeFn = dk.complete
+		dk.done.Init(s, dk.complete)
 		d.disks = append(d.disks, dk)
 	}
 	return d
@@ -217,7 +217,7 @@ func (d *DiskArray) serve(dk *disk) {
 	dk.busy = true
 	dur := sim.Uniform(d.sim.Rand(), d.minTime, d.maxTime)
 	dk.cur, dk.curDur = req, dur
-	d.sim.After(dur, dk.completeFn)
+	dk.done.Set(dur)
 }
 
 // complete finishes the in-service request: trace, busy accounting, owner
@@ -228,9 +228,9 @@ func (d *DiskArray) serve(dk *disk) {
 func (dk *disk) complete() {
 	d := dk.arr
 	if dk.lost {
-		// The request in service at a crash was discarded; its completion
-		// event could not be canceled (serve does not retain it) and fires
-		// here as a no-op before the spindle returns to service.
+		// The request in service at a crash was discarded, and its
+		// completion fires here as a no-op before the spindle returns to
+		// service (see Crash).
 		dk.lost = false
 		d.serve(dk)
 		return
@@ -256,11 +256,15 @@ func (dk *disk) complete() {
 // Crash discards every queued and in-service request without delivering
 // any completion — the crash-stop failure semantics. Waiting submitters
 // are NOT resumed (the fault layer handles their processes) and async
-// callbacks never run. The in-service request's completion event cannot
-// be canceled (serve does not retain it), so the spindle marks it lost
-// and absorbs the phantom completion when it fires; until then the
-// spindle reports busy, which only matters if the node repairs within one
-// access time.
+// callbacks never run. The in-service request's completion is a timer
+// that Stop could withdraw, but it is kept firing: the spindle marks the
+// request lost and absorbs the phantom completion, staying busy until the
+// access it was making would have ended, so a node that repairs within
+// one access time queues behind it. That is the behaviour every fault run
+// has had. Stopping the timer would free the spindle at the crash
+// instant, which changes that case, and would drop one dispatched event
+// per crash that finds a spindle busy, so a fault run's event stream
+// would no longer match the one it had before completions were timers.
 func (d *DiskArray) Crash() {
 	for _, dk := range d.disks {
 		for dk.reads.count > 0 {

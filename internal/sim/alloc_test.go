@@ -46,24 +46,31 @@ func TestDelayAllocFree(t *testing.T) {
 	}
 }
 
-// TestRescheduleAllocFree: moving a pending resumption — the CPU's next
-// completion on every arrival — re-keys the handle's own event in place
-// and allocates nothing, whether the target is later, earlier, or now.
-func TestRescheduleAllocFree(t *testing.T) {
+// TestTimerAllocFree: moving a timer's pending firing — the CPU's next
+// completion on every arrival — rewrites its key in the tree's slot, and
+// a target of now queues its own event in the lane, so arming it later,
+// earlier and at now, stopping it and letting it fire allocate nothing.
+func TestTimerAllocFree(t *testing.T) {
 	s := New(1)
-	var k Cont
-	k.Init(s, func() {})
-	k.Delay(1)
+	var tm Timer
+	fired := 0
+	tm.Init(s, func() { fired++ })
+	tm.Set(0) // grows the lane to its one slot
 	s.Step(math.MaxFloat64)
 	allocs := testing.AllocsPerRun(200, func() {
-		k.Delay(5)
-		k.Reschedule(8)
-		k.Reschedule(2)
-		k.Reschedule(0)
+		tm.Set(5)
+		tm.Set(8)
+		tm.Set(2)
+		tm.Set(0)
+		tm.Stop()
+		tm.Set(1)
 		s.Step(math.MaxFloat64)
 	})
 	if allocs != 0 {
-		t.Errorf("Delay+Reschedule+fire allocates %v objects per cycle, want 0", allocs)
+		t.Errorf("Set+Stop+fire allocates %v objects per cycle, want 0", allocs)
+	}
+	if fired != 202 || tm.Pending() {
+		t.Errorf("fired %d times (pending %v), want 202 and nothing pending", fired, tm.Pending())
 	}
 }
 

@@ -6,7 +6,7 @@ package sim
 // comparisons inline. A 4-ary layout halves the tree depth of a binary heap,
 // trading a few extra comparisons per level for far fewer cache-missing
 // levels — a net win at the queue sizes a busy machine sustains (one pending
-// event per blocked process plus one per busy resource).
+// event per waiting process; resource completions sit on the timer tree).
 //
 // Ordering is total: seq is unique per event, so identical timestamps break
 // ties by scheduling order and the pop sequence is independent of heap
@@ -54,8 +54,8 @@ func (q *eventQueue) pop() *event {
 	return e
 }
 
-// fix restores the heap order after the key of the event at index i
-// changed (Cont.Reschedule): one sift, up or down.
+// fix restores the heap order after the event at index i changed (remove
+// moves the tail there): one sift, up or down.
 func (q *eventQueue) fix(i int) {
 	if i > 0 && eventBefore(q.items[i], q.items[(i-1)>>2]) {
 		q.siftUp(i)

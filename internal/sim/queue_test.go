@@ -8,34 +8,43 @@ import (
 )
 
 // The differential test holds the kernel's event queue — the heap, the
-// same-instant lane, Cont.Cancel and Cont.Reschedule — to a naive
-// reference that keeps every pending event in one slice sorted by
-// (time, seq). Two drivers, seeded alike, issue the same random mix
-// against the two: callbacks and continuation resumptions scheduled from
-// inside firing events at the current instant and later, cancels and
-// reschedules of continuations pending on either structure, and Run or
-// Step boundaries at and between event times. Now and then a burst crowds
-// the current instant, so cancels and reschedules also reach entries of a
+// same-instant lane, the timer tree, Cont.Cancel, Timer.Set and
+// Timer.Stop — to a naive reference that keeps every pending event in one
+// slice sorted by (time, seq). Two drivers, seeded alike, issue the same
+// random mix against the two: callbacks, continuation resumptions and
+// timer firings scheduled from inside firing events at the current
+// instant and later (so timers tie with heap events and with each other,
+// and timers due now wait in the lane), cancels and moves of
+// continuations pending on either structure, timers armed, moved and
+// stopped from anywhere including their own step, and Run or Step
+// boundaries at and between event times. Now and then a burst crowds the
+// current instant, so cancels, moves and stops also reach entries of a
 // lane that has grown while they waited in it. Both sides must produce the
-// same firing sequence and agree on which continuations are pending.
+// same firing sequence and agree on which handles are pending.
 
 // queueUnderTest is what the driver needs of a queue. Labels name
 // scheduling calls, so two firing sequences compare label by label.
+// Handles below diffConts are continuations; the rest are timers.
 type queueUnderTest interface {
 	now() Time
 	schedule(at Time, label int)
 	delay(c int, d Time, label int)
-	reschedule(c int, d Time, label int)
 	cancel(c int)
-	pending(c int) bool
+	set(h int, d Time, label int)
+	stop(h int)
+	pending(h int) bool
 	run(end Time)
 	step(end Time) bool
 }
 
-const diffConts = 6
+const (
+	diffConts   = 6
+	diffTimers  = 6
+	diffHandles = diffConts + diffTimers
+)
 
 // record is one line of a side's trace: a firing (label ≥ 0), or a
-// checkpoint (label -1) carrying the clock and the pending continuations.
+// checkpoint (label -1) carrying the clock and the pending handles.
 type record struct {
 	label   int
 	at      Time
@@ -85,49 +94,69 @@ func (d *diffDriver) fire(label int) {
 }
 
 // burst crowds the current instant with 20 to 40 events, callbacks with
-// continuation resumptions among them, then cancels or moves some of the
-// continuations.
+// continuation resumptions and timer firings among them, then cancels,
+// moves or stops some of the handles.
 func (d *diffDriver) burst() {
 	for i := 20 + d.rng.Intn(21); i > 0; i-- {
 		if d.rng.Intn(4) == 0 {
-			d.q.reschedule(d.rng.Intn(diffConts), 0, d.nextLabel())
+			d.move(d.rng.Intn(diffHandles), 0)
 		} else {
 			d.q.schedule(d.q.now(), d.nextLabel())
 		}
 	}
-	for c := 0; c < diffConts; c++ {
+	for h := 0; h < diffHandles; h++ {
 		switch d.rng.Intn(3) {
 		case 0:
-			d.q.cancel(c)
+			d.withdraw(h)
 		case 1:
-			d.q.reschedule(c, d.gap(), d.nextLabel())
+			d.move(h, d.gap())
 		}
 	}
 }
 
+// move schedules handle h's firing d from now, withdrawing a pending one:
+// a continuation by Cancel and Delay, a timer by Set alone.
+func (d *diffDriver) move(h int, gap Time) {
+	if h < diffConts {
+		d.q.cancel(h)
+		d.q.delay(h, gap, d.nextLabel())
+		return
+	}
+	d.q.set(h, gap, d.nextLabel())
+}
+
+// withdraw cancels a continuation or stops a timer.
+func (d *diffDriver) withdraw(h int) {
+	if h < diffConts {
+		d.q.cancel(h)
+		return
+	}
+	d.q.stop(h)
+}
+
 func (d *diffDriver) act(n int) {
 	for ; n > 0; n-- {
-		c := d.rng.Intn(diffConts)
+		h := d.rng.Intn(diffHandles)
 		switch d.rng.Intn(5) {
 		case 0:
 			d.q.schedule(d.q.now()+d.gap(), d.nextLabel())
 		case 1:
-			if !d.q.pending(c) {
-				d.q.delay(c, d.gap(), d.nextLabel())
+			if !d.q.pending(h) {
+				d.move(h, d.gap())
 			}
 		case 2, 3:
-			d.q.reschedule(c, d.gap(), d.nextLabel())
+			d.move(h, d.gap())
 		default:
-			d.q.cancel(c)
+			d.withdraw(h)
 		}
 	}
 }
 
 func (d *diffDriver) checkpoint() {
 	var mask uint64
-	for c := 0; c < diffConts; c++ {
-		if d.q.pending(c) {
-			mask |= 1 << c
+	for h := 0; h < diffHandles; h++ {
+		if d.q.pending(h) {
+			mask |= 1 << h
 		}
 	}
 	d.trace = append(d.trace, record{label: -1, at: d.q.now(), pending: mask})
@@ -159,7 +188,8 @@ type kernelQueue struct {
 	s     *Sim
 	d     *diffDriver
 	ks    [diffConts]Cont
-	label [diffConts]int // label of each continuation's pending resumption
+	ts    [diffTimers]Timer
+	label [diffHandles]int // label of each handle's pending firing
 }
 
 func newKernelQueue(d *diffDriver) *kernelQueue {
@@ -167,6 +197,10 @@ func newKernelQueue(d *diffDriver) *kernelQueue {
 	for c := range q.ks {
 		c := c
 		q.ks[c].Init(q.s, func() { q.d.fire(q.label[c]) })
+	}
+	for i := range q.ts {
+		h := diffConts + i
+		q.ts[i].Init(q.s, func() { q.d.fire(q.label[h]) })
 	}
 	return q
 }
@@ -179,17 +213,23 @@ func (q *kernelQueue) delay(c int, d Time, label int) {
 	q.label[c] = label
 	q.ks[c].Delay(d)
 }
-func (q *kernelQueue) reschedule(c int, d Time, label int) {
-	q.label[c] = label
-	q.ks[c].Reschedule(d)
+func (q *kernelQueue) cancel(c int) { q.ks[c].Cancel() }
+func (q *kernelQueue) set(h int, d Time, label int) {
+	q.label[h] = label
+	q.ts[h-diffConts].Set(d)
 }
-func (q *kernelQueue) cancel(c int)       { q.ks[c].Cancel() }
-func (q *kernelQueue) pending(c int) bool { return q.ks[c].Pending() }
+func (q *kernelQueue) stop(h int) { q.ts[h-diffConts].Stop() }
+func (q *kernelQueue) pending(h int) bool {
+	if h < diffConts {
+		return q.ks[h].Pending()
+	}
+	return q.ts[h-diffConts].Pending()
+}
 func (q *kernelQueue) run(end Time)       { q.s.Run(end) }
 func (q *kernelQueue) step(end Time) bool { return q.s.Step(end) }
 
 // refEvent is one pending event of the reference: a callback (cont -1)
-// or continuation c's resumption.
+// or handle cont's firing.
 type refEvent struct {
 	at    Time
 	seq   uint64
@@ -198,8 +238,8 @@ type refEvent struct {
 }
 
 // refQueue is the reference: a slice sorted by (time, seq) before every
-// dispatch. Cancel deletes the continuation's entry; Reschedule is Cancel
-// then Delay.
+// dispatch. Cancel and Stop delete the handle's entry; Set is Stop then a
+// fresh entry, as Delay makes one.
 type refQueue struct {
 	d      *diffDriver
 	clock  Time
@@ -230,16 +270,17 @@ func (q *refQueue) delay(c int, d Time, label int) {
 	}
 	q.add(q.clock+d, label, c)
 }
-func (q *refQueue) reschedule(c int, d Time, label int) {
-	q.cancel(c)
-	q.delay(c, d, label)
-}
 func (q *refQueue) cancel(c int) {
 	if i := q.find(c); i >= 0 {
 		q.events = append(q.events[:i], q.events[i+1:]...)
 	}
 }
-func (q *refQueue) pending(c int) bool { return q.find(c) >= 0 }
+func (q *refQueue) set(h int, d Time, label int) {
+	q.stop(h)
+	q.delay(h, d, label)
+}
+func (q *refQueue) stop(h int)         { q.cancel(h) }
+func (q *refQueue) pending(h int) bool { return q.find(h) >= 0 }
 
 // pop removes and returns the earliest event due before end.
 func (q *refQueue) pop(end Time) (refEvent, bool) {

@@ -14,11 +14,13 @@
 // caller's goroutine: a resumption costs one event, not a goroutine
 // switch.
 //
-// The kernel offers two scheduling forms and exports no event handle:
-// fire-and-forget callbacks (Schedule, After), which cannot be withdrawn,
-// and continuations (Cont), whose pending resumption can be canceled or
-// moved through the handle that owns it. No caller can therefore hold an
-// event past its firing.
+// The kernel offers three scheduling forms and exports no event handle:
+// fire-and-forget callbacks (Schedule, After), which cannot be withdrawn;
+// continuations (Cont), whose pending resumption can be canceled through
+// the handle that owns it; and timers (Timer), continuations on a fixed
+// slot of a small tree beside the event heap, whose pending firing is
+// moved or stopped in place. No caller can therefore hold an event past
+// its firing.
 //
 // The kernel hot path is allocation-free in steady state: fired callback
 // events are recycled through a free-list, and every continuation embeds
@@ -29,6 +31,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 )
@@ -62,6 +65,9 @@ func laneSlot(i int) int { return -2 - i }
 type Sim struct {
 	now    Time
 	events eventQueue
+	// timers holds the armed timers' keys; next takes the earlier of its
+	// minimum and the heap's.
+	timers timerTree
 	// lane holds the events scheduled for the current instant, in
 	// scheduling order; lane[laneHead:] is still to fire. A canceled entry
 	// leaves a nil tombstone that dispatch skips. The lane drains before
@@ -79,10 +85,12 @@ type Sim struct {
 
 // New creates a simulator with the given random seed.
 func New(seed int64) *Sim {
-	return &Sim{
+	s := &Sim{
 		seed: seed,
 		rng:  rand.New(rand.NewSource(seed)),
 	}
+	s.timers.grow()
+	return s
 }
 
 // Substream returns an independent deterministic random source derived from
@@ -194,25 +202,36 @@ func (s *Sim) dequeue(e *event) {
 }
 
 // next removes and returns the next event due before end, or nil. It
-// keeps the total (at, seq) order: heap events due now were scheduled
-// before the clock reached now, so their seqs are below every lane entry's
-// and they fire first; the lane follows in scheduling order; only when
-// both are spent does the heap advance the clock.
+// keeps the total (at, seq) order: the earlier of the heap's minimum and
+// the timer tree's, if it is due now, was scheduled before the clock
+// reached now, so its seq is below every lane entry's and it fires first;
+// the lane follows in scheduling order; only when both are spent does
+// the earlier of the two advance the clock. A timer taken from the tree
+// is disarmed before its step runs.
 func (s *Sim) next(end Time) *event {
 	if s.now >= end {
 		return nil
 	}
-	q := &s.events
-	if q.len() > 0 && q.min().at == s.now {
-		return q.pop()
+	q, tt := &s.events, &s.timers
+	k := tt.min()
+	at, timer := math.Float64frombits(k.at), true
+	if q.len() > 0 {
+		if e := q.min(); e.at < at || e.at == at && e.seq < k.seq {
+			at, timer = e.at, false
+		}
 	}
-	if e := s.popLane(); e != nil {
-		return e
+	if at != s.now {
+		if e := s.popLane(); e != nil {
+			return e
+		}
+		if at >= end {
+			return nil
+		}
 	}
-	if q.len() > 0 && q.min().at < end {
-		return q.pop()
+	if timer {
+		return tt.take()
 	}
-	return nil
+	return q.pop()
 }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
@@ -260,9 +279,9 @@ func (s *Sim) Run(end Time) Time {
 }
 
 // endProcesses ends every process still waiting when Run returns: pending
-// continuation resumptions leave the queue and goroutine processes are
-// dismissed, so nothing a process holds outlives the run. Callback events
-// stay queued.
+// continuation resumptions leave the queue, armed timers are disarmed and
+// goroutine processes are dismissed, so nothing a process holds outlives
+// the run. Callback events stay queued.
 func (s *Sim) endProcesses() {
 	var pending []*event
 	for _, e := range s.events.items {
@@ -277,6 +296,9 @@ func (s *Sim) endProcesses() {
 	}
 	for _, e := range pending {
 		s.dequeue(e)
+	}
+	for slot := range s.timers.n {
+		s.timers.disarm(slot)
 	}
 	for i, p := range s.procs {
 		if !p.done {
@@ -349,32 +371,8 @@ func (k *Cont) schedule(at Time) {
 	k.sim.enqueue(&k.ev, at)
 }
 
-// Reschedule moves the pending resumption to d milliseconds from now, or
-// schedules one if none is pending: the (time, seq) key Cancel followed
-// by Delay(d) gives, so the dispatch order is the same. A resumption
-// pending on the heap is re-keyed in place with one sift instead of a
-// removal and a push; a target of now goes through the lane, as Delay's
-// would.
-func (k *Cont) Reschedule(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	s, e := k.sim, &k.ev
-	at := s.now + d
-	if e.index >= 0 && at != s.now {
-		s.seq++
-		e.at = at
-		e.seq = s.seq
-		s.events.fix(e.index)
-		return
-	}
-	s.dequeue(e)
-	s.enqueue(e, at)
-}
-
-// Cancel withdraws a pending resumption, so the step does not run — the
-// crash-stop of a process, or a resource going idle. A handle with nothing
-// pending is left alone.
+// Cancel withdraws a pending resumption, so the step does not run: the
+// crash-stop of a process. A handle with nothing pending is left alone.
 func (k *Cont) Cancel() { k.sim.dequeue(&k.ev) }
 
 // Pending reports whether a resumption is scheduled.

@@ -34,11 +34,11 @@ func BenchmarkContDelay(b *testing.B) {
 	s.Run(Time(b.N) + 2)
 }
 
-// BenchmarkContReschedule measures moving a pending resumption, as the
-// CPU moves its next completion on every arrival: an in-place re-key
-// among 64 other pending processes, each of which delays itself again
-// when it fires; every 64th re-key the earliest event fires.
-func BenchmarkContReschedule(b *testing.B) {
+// BenchmarkTimerSet measures moving a timer's pending firing, as the CPU
+// moves its next completion on every arrival: a re-key among 31 other
+// armed timers beside 64 pending processes, each of which arms or delays
+// itself again when it fires; every 64th move the earliest event fires.
+func BenchmarkTimerSet(b *testing.B) {
 	s := New(1)
 	var ks [64]Cont
 	for i := range ks {
@@ -46,16 +46,22 @@ func BenchmarkContReschedule(b *testing.B) {
 		k.Init(s, func() { k.Delay(64) })
 		k.Delay(Time(i + 1))
 	}
-	var k Cont
-	k.Init(s, func() {})
-	k.Delay(1)
+	var ts [31]Timer
+	for i := range ts {
+		tm := &ts[i]
+		tm.Init(s, func() { tm.Set(31) })
+		tm.Set(Time(i) + 0.25)
+	}
+	var tm Timer
+	tm.Init(s, func() {})
+	tm.Set(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.Reschedule(Time(i%97) + 0.5)
+		tm.Set(Time(i%97) + 0.5)
 		if i%64 == 63 {
 			s.Step(s.Now() + 1000)
-			if !k.Pending() {
-				k.Delay(1)
+			if !tm.Pending() {
+				tm.Set(1)
 			}
 		}
 	}
