@@ -27,22 +27,19 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== ddbmlint (determinism invariants)"
-# The full check suite over the whole module: the five per-file checks
-# (no-wall-clock, no-global-rand, map-order, no-naked-goroutine,
-# no-reflect-sort) plus the three interprocedural ones — taint-wall-clock
-# and taint-rand (exempt-scope helpers that transitively read the host
-# clock or the global rand source are findings at the boundary call into
-# simulation scope) and hotpath-alloc (//ddbmlint:hotpath functions must be
-# statically allocation-free, transitively; this is the static half of the
-# transaction-path allocation pin below).
+# The full check suite over the whole module, seven checks: the five
+# per-file checks (no-wall-clock, no-global-rand, map-order,
+# no-naked-goroutine, no-reflect-sort) plus the two interprocedural ones,
+# taint-wall-clock and taint-rand (exempt-scope helpers that transitively
+# read the host clock or the global rand source are findings at the
+# boundary call into simulation scope).
 go run ./cmd/ddbmlint ./...
 
 echo "== ddbmlint fixture harness"
 # The // want-comment fixtures under testdata/lint and testdata/interp pin
-# the exact finding set of all eight checks — the five per-file checks
-# under testdata/lint, both taint checks and hotpath-alloc under
-# testdata/interp — plus the output-determinism guarantee and the CLI's
-# -json round-trip.
+# the exact finding set of all seven checks — the five per-file checks
+# under testdata/lint, both taint checks under testdata/interp — plus
+# the output-determinism guarantee and the CLI's -json round-trip.
 go test -run 'TestFixtures|TestInterprocFixtures|TestLintDeterminism|TestLoaderFailures' ./internal/lint/
 go test -run 'TestRunJSONRoundTrip|TestRunExitCodes' ./cmd/ddbmlint/
 
@@ -73,17 +70,19 @@ go test -run 'TestSteadyStateAllocFree' \
 echo "== transaction-path allocation pin"
 # The end-to-end transaction path (terminals, plans, attempts, envelopes,
 # commit fan-out, locks, CPU/disk queues, metrics) must stay allocation-free
-# in steady state across every commit-protocol variant and on the
-# placements with several partitions or replica copies per node; the
-# whole-module ddbmlint run above audits the same packages' hot paths
-# statically. The pools it runs on are sized from the placement, so three
-# more tests guard those sizes: the footprint pin (building the Table 4
-# machine stays within 8 MB and 10,000 objects, catching a return to
-# worst-case sizing or to one object per pooled record), the bound
-# property (no planned cohort exceeds MaxAccessesPerCohort on any
-# placement, and Table 4 reaches it), and FindVictims' order independence
-# (victims do not depend on edge order or repetition, which the Snoop's
-# gather in request-arrival order relies on).
+# in steady state across every commit-protocol variant, on the placements
+# with several partitions or replica copies per node, and in three 2PL
+# branches the others never reach: sequential cohort execution, message
+# loss and duplication with retransmission, and the lock-wait timeout
+# scheme. These run-time pins are the one guard of allocation freedom; no
+# static check shadows them. The pools the path runs on are sized from
+# the placement, so three more tests guard those sizes: the footprint pin
+# (building the Table 4 machine stays within 8 MB and 10,000 objects,
+# catching a return to worst-case sizing or to one object per pooled
+# record), the bound property (no planned cohort exceeds
+# MaxAccessesPerCohort on any placement, and Table 4 reaches it), and
+# FindVictims' order independence (victims do not depend on edge order or
+# repetition, which the Snoop's gather in request-arrival order relies on).
 go test -run 'TestTxnPathAllocFree|TestNewMachineFootprint' -count=1 ./internal/core/
 go test -run 'TestMaxAccessesPerCohortBoundsPlans' -count=1 ./internal/workload/
 go test -run 'TestFindVictimsOrderIndependent' -count=1 ./internal/cc/
@@ -93,8 +92,8 @@ echo "== commit-protocol sweep smoke"
 # protocol path that panics or a configuration the sweep can no longer
 # build. It does not catch a wedged protocol (a lost vote, a missing ack):
 # a wedged attempt only parks its terminal while the run goes on, so the
-# sweep still exits 0 with lower throughput. The progress watchdog of
-# ROADMAP item 5 is what will make a wedge fail here.
+# sweep still exits 0 with lower throughput. The progress watchdog on the
+# ROADMAP is what will make a wedge fail here.
 go run ./cmd/experiments -fig cps -scale 0.02 -q
 
 echo "== trace smoke"
@@ -151,7 +150,7 @@ echo "== fault-tolerance smoke"
 # a crash or recovery path that panics. A wedged crash path (a
 # coordinator parked on a dead cohort, a restart that never rejoins) is
 # not caught here: it parks a terminal, the run goes on and exits 0.
-# That waits on the progress watchdog of ROADMAP item 5.
+# That waits on the progress watchdog on the ROADMAP.
 go test -race -count=1 ./internal/fault/ ./internal/recovery/
 go test -run 'TestFault' -count=1 ./internal/core/
 go run ./cmd/experiments -fig ft -scale 0.02 -q >/dev/null

@@ -2,10 +2,9 @@
 // invariants: no wall-clock time, no global math/rand, no order-sensitive
 // map iteration, no goroutines outside internal/sim, no reflection-based
 // sorting in library code — and, interprocedurally, no tainted helpers
-// reaching simulation code (taint-wall-clock, taint-rand) and no
-// allocations reachable from //ddbmlint:hotpath functions
-// (hotpath-alloc). See internal/lint and DESIGN.md ("Statically-enforced
-// determinism invariants", "Interprocedural analysis").
+// reaching simulation code (taint-wall-clock, taint-rand). See
+// internal/lint and DESIGN.md ("Statically-enforced determinism
+// invariants", "Interprocedural analysis").
 //
 // Usage:
 //

@@ -202,8 +202,6 @@ type TxnMeta struct {
 // idempotent and refuses once the commit decision has been made (a wound in
 // the second phase of the commit protocol "is not fatal").
 // It reports whether the abort was accepted.
-//
-//ddbmlint:hotpath abort demand on the contention path pinned by TestSteadyStateAllocFree
 func (t *TxnMeta) RequestAbort(fromNode int, reason string, cause Cause) bool {
 	if t.AbortRequested {
 		return true
@@ -215,7 +213,7 @@ func (t *TxnMeta) RequestAbort(fromNode int, reason string, cause Cause) bool {
 	t.AbortReason = reason
 	t.NoteCause(fromNode, cause)
 	if t.OnAbort != nil {
-		t.OnAbort(fromNode) //ddbmlint:allow hotpath-alloc pre-bound abort observer; installed once per pooled attempt and audited by the core alloc pins
+		t.OnAbort(fromNode)
 	}
 	return true
 }
@@ -224,8 +222,6 @@ func (t *TxnMeta) RequestAbort(fromNode int, reason string, cause Cause) bool {
 // recorded yet — the seam for sites that doom an attempt without calling
 // RequestAbort (BTO timestamp rejections, OPT certification failures,
 // the coordinator's default attribution). First cause wins.
-//
-//ddbmlint:hotpath abort-cause attribution pinned by TestSteadyStateAllocFree
 func (t *TxnMeta) NoteCause(fromNode int, cause Cause) {
 	if t.AbortCause == CauseNone {
 		t.AbortCause = cause
@@ -303,6 +299,12 @@ type CohortMeta struct {
 	// blocked. Both are maintained only when the fault layer is active.
 	InDoubt        bool
 	BlockedInDoubt bool
+
+	// WaitSeq numbers the requests the cohort has queued at its node since
+	// that node's manager last committed or aborted it. 2PL's timeout
+	// scheme stamps each wait's timer with it, so a timer armed for an
+	// earlier wait of the attempt finds a later number and does nothing.
+	WaitSeq int64
 }
 
 // CrashReset clears the wait-state a cohort held when its node crashed, so

@@ -121,8 +121,6 @@ func (d *Detector) Reserve(nodes, edgeCount int) {
 // The result is deterministic: nodes are visited in transaction-ID order.
 // The returned slice is the detector's own buffer, valid until the next
 // call on this Detector.
-//
-//ddbmlint:hotpath per-block deadlock detection pinned by TestSteadyStateAllocFree
 func (d *Detector) FindVictims(edges []Edge) []*TxnMeta {
 	d.victims = d.victims[:0]
 	if len(edges) == 0 {
@@ -131,7 +129,7 @@ func (d *Detector) FindVictims(edges []Edge) []*TxnMeta {
 	d.load(edges)
 	n := len(d.txns)
 	if cap(d.removed) < n {
-		d.removed = make([]bool, n) //ddbmlint:allow hotpath-alloc guarded growth to the graph's high-water size
+		d.removed = make([]bool, n)
 	} else {
 		d.removed = d.removed[:n]
 		clear(d.removed)
@@ -149,7 +147,7 @@ func (d *Detector) FindVictims(edges []Edge) []*TxnMeta {
 			continue
 		}
 		d.removed[victim.detRank] = true
-		d.victims = append(d.victims, victim) //ddbmlint:allow hotpath-alloc victim scratch grows to its high-water mark
+		d.victims = append(d.victims, victim)
 	}
 }
 
@@ -172,7 +170,7 @@ func (d *Detector) load(edges []Edge) {
 	}
 	n := len(d.txns)
 	if cap(d.deg) < n {
-		d.deg = make([]int32, n) //ddbmlint:allow hotpath-alloc guarded growth to the graph's high-water size
+		d.deg = make([]int32, n)
 	} else {
 		d.deg = d.deg[:n]
 		clear(d.deg)
@@ -183,12 +181,12 @@ func (d *Detector) load(edges []Edge) {
 		}
 	}
 	if cap(d.flat) < total {
-		d.flat = make([]*TxnMeta, total) //ddbmlint:allow hotpath-alloc guarded growth to the edge-count high-water mark
+		d.flat = make([]*TxnMeta, total)
 	} else {
 		d.flat = d.flat[:total]
 	}
 	if cap(d.adj) < n {
-		d.adj = make([][]*TxnMeta, n) //ddbmlint:allow hotpath-alloc guarded growth to the graph's high-water size
+		d.adj = make([][]*TxnMeta, n)
 	} else {
 		d.adj = d.adj[:n]
 	}
@@ -203,7 +201,7 @@ func (d *Detector) load(edges []Edge) {
 			continue
 		}
 		w := e.Waiter.detRank
-		d.adj[w] = append(d.adj[w], e.Blocker) //ddbmlint:allow hotpath-alloc never grows: rows are carved with capacity for each row's counted out-degree
+		d.adj[w] = append(d.adj[w], e.Blocker)
 	}
 	slices.SortFunc(d.txns, txnIDLess)
 	for i := range d.adj {
@@ -219,7 +217,7 @@ func (d *Detector) note(t *TxnMeta) {
 	}
 	t.detGen = d.gen
 	t.detRank = int32(len(d.txns))
-	d.txns = append(d.txns, t) //ddbmlint:allow hotpath-alloc node scratch grows to its high-water mark
+	d.txns = append(d.txns, t)
 }
 
 // findCycle returns the transactions on some cycle of the graph, or nil if
@@ -234,7 +232,7 @@ func (d *Detector) findCycle() []*TxnMeta {
 	)
 	n := len(d.txns)
 	if cap(d.color) < n {
-		d.color = make([]int8, n) //ddbmlint:allow hotpath-alloc guarded growth to the graph's high-water size
+		d.color = make([]int8, n)
 	} else {
 		d.color = d.color[:n]
 		clear(d.color)
@@ -260,13 +258,13 @@ func (d *Detector) findCycle() []*TxnMeta {
 				switch d.color[nr] {
 				case white:
 					d.color[nr] = grey
-					d.stack = append(d.stack, dfsFrame{t: t, r: nr}) //ddbmlint:allow hotpath-alloc DFS stack grows to its high-water mark
+					d.stack = append(d.stack, dfsFrame{t: t, r: nr})
 					advanced = true
 				case grey:
 					// Found a back edge: the cycle is t ... f.t on the stack.
 					d.cycle = d.cycle[:0]
 					for i := len(d.stack) - 1; i >= 0; i-- {
-						d.cycle = append(d.cycle, d.stack[i].t) //ddbmlint:allow hotpath-alloc cycle scratch grows to its high-water mark
+						d.cycle = append(d.cycle, d.stack[i].t)
 						if d.stack[i].t == t {
 							break
 						}

@@ -157,7 +157,7 @@ func (cl *cohortLocks) set(page db.PageID, mode LockMode) {
 		cl.locks[i].mode = mode
 		return
 	}
-	cl.locks = append(cl.locks, heldLock{}) //ddbmlint:allow hotpath-alloc sorted-insert growth; capacity survives free-list recycling
+	cl.locks = append(cl.locks, heldLock{})
 	copy(cl.locks[i+1:], cl.locks[i:])
 	cl.locks[i] = heldLock{page: page, mode: mode}
 }
@@ -264,13 +264,13 @@ func (lt *LockTable) Reserve(txns, locksPerCohort int) {
 // settles at the file's highest locked page after a few regrowths.
 func (lt *LockTable) slot(page db.PageID) **lockEntry {
 	if page.File >= len(lt.rows) {
-		rows := make([][]*lockEntry, page.File+1) //ddbmlint:allow hotpath-alloc the file index grows to the highest file locked at this node
+		rows := make([][]*lockEntry, page.File+1)
 		copy(rows, lt.rows)
 		lt.rows = rows
 	}
 	row := lt.rows[page.File]
 	if page.Page >= len(row) {
-		grown := make([]*lockEntry, max(page.Page+1, 2*len(row))) //ddbmlint:allow hotpath-alloc a file's row grows to the highest page locked at this node
+		grown := make([]*lockEntry, max(page.Page+1, 2*len(row)))
 		copy(grown, row)
 		lt.rows[page.File] = grown
 		row = grown
@@ -284,7 +284,7 @@ func (lt *LockTable) entry(page db.PageID) *lockEntry { return lt.rows[page.File
 func (lt *LockTable) newEntry(page db.PageID) *lockEntry {
 	e := lt.freeEntries
 	if e == nil {
-		e = &lockEntry{} //ddbmlint:allow hotpath-alloc free-list warmup; steady state reuses entries
+		e = &lockEntry{}
 	} else {
 		lt.freeEntries = e.nextFree
 		e.nextFree = nil
@@ -302,7 +302,7 @@ func (lt *LockTable) freeEntry(e *lockEntry) {
 func (lt *LockTable) newReq(co *CohortMeta, mode LockMode, upgrade bool) *lockReq {
 	q := lt.freeReqs
 	if q == nil {
-		q = &lockReq{} //ddbmlint:allow hotpath-alloc free-list warmup; steady state reuses queue nodes
+		q = &lockReq{}
 	} else {
 		lt.freeReqs = q.next
 	}
@@ -320,7 +320,7 @@ func (lt *LockTable) freeReq(q *lockReq) {
 func (lt *LockTable) addHolder(e *lockEntry, co *CohortMeta, mode LockMode) {
 	h := lt.freeHolders
 	if h == nil {
-		h = &lockHolder{} //ddbmlint:allow hotpath-alloc free-list warmup; steady state reuses holder nodes
+		h = &lockHolder{}
 	} else {
 		lt.freeHolders = h.next
 	}
@@ -359,7 +359,7 @@ func (lt *LockTable) dropHolder(e *lockEntry, co *CohortMeta) {
 func (lt *LockTable) newCohortLocks() *cohortLocks {
 	cl := lt.freeCohorts
 	if cl == nil {
-		cl = &cohortLocks{} //ddbmlint:allow hotpath-alloc free-list warmup; steady state reuses held lists
+		cl = &cohortLocks{}
 	} else {
 		lt.freeCohorts = cl.nextFree
 		cl.nextFree = nil
@@ -392,7 +392,7 @@ func (lt *LockTable) contendedSearch(page db.PageID) int {
 // queue length goes 0 -> 1.
 func (lt *LockTable) markContended(e *lockEntry) {
 	i := lt.contendedSearch(e.page)
-	lt.contended = append(lt.contended, nil) //ddbmlint:allow hotpath-alloc contended-set scratch grows to its high-water mark
+	lt.contended = append(lt.contended, nil)
 	copy(lt.contended[i+1:], lt.contended[i:])
 	lt.contended[i] = e
 }
@@ -415,8 +415,6 @@ func (lt *LockTable) unmarkContended(e *lockEntry) {
 // can apply its conflict policy (wait, wound, detect deadlock). The caller
 // must then call co.Block(). The conflicts slice is shared scratch, valid
 // only until the next Lock call on this table.
-//
-//ddbmlint:hotpath steady-state acquire pinned by TestSteadyStateAllocFree
 func (lt *LockTable) Lock(co *CohortMeta, page db.PageID, mode LockMode) (granted bool, conflicts []*CohortMeta) {
 	if co.lockOwner != lt {
 		// First contact: claim the cohort, abandoning any state a previous
@@ -452,12 +450,12 @@ func (lt *LockTable) Lock(co *CohortMeta, page db.PageID, mode LockMode) (grante
 		buf := lt.conflictBuf[:0]
 		for h := e.hhead; h != nil; h = h.next {
 			if h.co != co {
-				buf = append(buf, h.co) //ddbmlint:allow hotpath-alloc conflict scratch grows to its high-water mark
+				buf = append(buf, h.co)
 			}
 		}
 		// Conflicting upgrades queued ahead of ours also stand in the way.
 		for q := e.qhead; q != req; q = q.next {
-			buf = append(buf, q.co) //ddbmlint:allow hotpath-alloc conflict scratch grows to its high-water mark
+			buf = append(buf, q.co)
 		}
 		lt.conflictBuf = buf
 		lt.noteInDoubtConflicts(co, buf)
@@ -490,12 +488,12 @@ func (lt *LockTable) Lock(co *CohortMeta, page db.PageID, mode LockMode) (grante
 	buf := lt.conflictBuf[:0]
 	for h := e.hhead; h != nil; h = h.next {
 		if !Compatible(mode, h.mode) {
-			buf = append(buf, h.co) //ddbmlint:allow hotpath-alloc conflict scratch grows to its high-water mark
+			buf = append(buf, h.co)
 		}
 	}
 	for q := e.qhead; q != req; q = q.next {
 		if q.co != co && (!Compatible(mode, q.mode) || q.upgrade) {
-			buf = append(buf, q.co) //ddbmlint:allow hotpath-alloc conflict scratch grows to its high-water mark
+			buf = append(buf, q.co)
 		}
 	}
 	lt.conflictBuf = buf
@@ -540,8 +538,6 @@ func (lt *LockTable) setHolder(e *lockEntry, co *CohortMeta, mode LockMode) {
 // (file, page) order — the cohort's held list is kept sorted incrementally,
 // so the deterministic order (promotions schedule resume events, whose
 // order must not depend on map iteration) costs no sort here.
-//
-//ddbmlint:hotpath steady-state release pinned by TestSteadyStateAllocFree
 func (lt *LockTable) ReleaseAll(co *CohortMeta) {
 	if co.lockOwner != lt {
 		return // the cohort never locked anything here
@@ -563,8 +559,6 @@ func (lt *LockTable) ReleaseAll(co *CohortMeta) {
 
 // RemoveWaiter cancels co's queued request (if any) without resuming it;
 // the caller is responsible for Deny()ing the cohort if it is blocked.
-//
-//ddbmlint:hotpath waiter withdrawal pinned by TestSteadyStateAllocFree
 func (lt *LockTable) RemoveWaiter(co *CohortMeta) {
 	if co.lockOwner != lt {
 		return // the cohort never locked anything here
@@ -709,8 +703,6 @@ func pageLess(a, b db.PageID) bool {
 // implementation produced, at O(waiters) cost independent of the number of
 // locks held. A stable order keeps every downstream consumer (tracing,
 // tests, future victim policies) independent of map iteration.
-//
-//ddbmlint:hotpath waits-for extraction pinned by TestSteadyStateAllocFree
 func (lt *LockTable) AppendWaitsForEdges(node int, edges []Edge) []Edge {
 	for _, e := range lt.contended {
 		qi := 0

@@ -87,8 +87,7 @@ func (a *Algorithm) maxEdges() int { return a.MaxTxns * a.MaxTxns }
 
 // NewManager creates the per-node lock manager.
 func (a *Algorithm) NewManager(env cc.Env) cc.Manager {
-	m := &manager{env: env, a: a, kind: a.Kind(), lt: cc.NewLockTable(), timeout: a.WaitTimeoutMs,
-		waitSeq: make(map[*cc.CohortMeta]int64)}
+	m := &manager{env: env, a: a, kind: a.Kind(), lt: cc.NewLockTable(), timeout: a.WaitTimeoutMs}
 	if a.MaxTxns > 0 {
 		m.lt.Reserve(a.MaxTxns, max(1, a.MaxLocksPerCohort))
 		if a.WaitTimeoutMs <= 0 && cap(a.edges) < a.maxEdges() {
@@ -105,8 +104,9 @@ type manager struct {
 	kind     cc.Kind
 	lt       *cc.LockTable
 	timeout  float64 // 0: detection; >0: timeout scheme
-	waitSeq  map[*cc.CohortMeta]int64
 	timeouts int64
+	// waitFree recycles fired lock-wait timers (timeout scheme only).
+	waitFree []*lockWait
 	// deferredFree recycles finished deferred-write acquisitions.
 	deferredFree []*deferredLocks
 }
@@ -143,17 +143,8 @@ func (m *manager) Access(co *cc.CohortMeta, page db.PageID, write bool) cc.Outco
 	}
 	if m.timeout > 0 {
 		// Timeout scheme: no detection; if this wait outlives the timeout,
-		// abort the waiter. The sequence number guards against a stale
-		// timer firing during a later, different wait.
-		m.waitSeq[co]++
-		seq := m.waitSeq[co]
-		m.env.Sim.After(m.timeout, func() {
-			if co.Waiting() && m.waitSeq[co] == seq {
-				if co.Txn.RequestAbort(m.env.Node, "lock timeout", cc.CauseLockTimeout) {
-					m.timeouts++
-				}
-			}
-		})
+		// abort the waiter.
+		m.armWait(co)
 		return co.Block()
 	}
 	// Local deadlock detection occurs whenever a cohort blocks.
@@ -175,7 +166,7 @@ func (m *manager) Prepare(co *cc.CohortMeta) bool { return true }
 
 func (m *manager) Commit(co *cc.CohortMeta) {
 	m.lt.ReleaseAll(co)
-	delete(m.waitSeq, co)
+	m.endWaits(co)
 }
 
 func (m *manager) Abort(co *cc.CohortMeta) {
@@ -183,7 +174,55 @@ func (m *manager) Abort(co *cc.CohortMeta) {
 	if co.Waiting() {
 		co.Deny()
 	}
-	delete(m.waitSeq, co)
+	m.endWaits(co)
+}
+
+// lockWait is the timer of one blocked request in the timeout scheme. It
+// fires once, timeout after the block, and then returns to its manager's
+// pool. seq is the cohort's WaitSeq when the request blocked, and the
+// firing acts only if the cohort still waits at this node under that
+// number. Commit and Abort restart the numbering, so a timer that outlives
+// its attempt can match a later attempt's wait of the same number.
+type lockWait struct {
+	m    *manager
+	co   *cc.CohortMeta
+	seq  int64
+	fire func() // expire, bound once
+}
+
+// armWait numbers a new wait of co and schedules its timer.
+func (m *manager) armWait(co *cc.CohortMeta) {
+	var w *lockWait
+	if n := len(m.waitFree); n > 0 {
+		w = m.waitFree[n-1]
+		m.waitFree[n-1] = nil
+		m.waitFree = m.waitFree[:n-1]
+	} else {
+		w = &lockWait{m: m}
+		w.fire = w.expire
+	}
+	co.WaitSeq++
+	w.co, w.seq = co, co.WaitSeq
+	m.env.Sim.After(m.timeout, w.fire)
+}
+
+// expire recycles the timer and aborts the waiter if the wait it was armed
+// for is still going on.
+func (w *lockWait) expire() {
+	m, co := w.m, w.co
+	current := co.Waiting() && co.Node == m.env.Node && co.WaitSeq == w.seq
+	w.co = nil
+	m.waitFree = append(m.waitFree, w)
+	if current && co.Txn.RequestAbort(m.env.Node, "lock timeout", cc.CauseLockTimeout) {
+		m.timeouts++
+	}
+}
+
+// endWaits restarts the numbering of co's waits at this node.
+func (m *manager) endWaits(co *cc.CohortMeta) {
+	if co.Node == m.env.Node {
+		co.WaitSeq = 0
+	}
 }
 
 // PrepareDeferred acquires the deferred remote-copy write locks during the

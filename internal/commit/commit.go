@@ -185,8 +185,6 @@ type Txn struct {
 // metadata and mailbox, no cohorts. The cohort slice keeps its backing
 // array, so re-attaching the attempt's cohorts does not allocate once the
 // slice has reached the machine's cohort high-water mark.
-//
-//ddbmlint:hotpath per-attempt protocol state reset
 func (t *Txn) Reset(meta *cc.TxnMeta, mail *sim.Mailbox) {
 	t.Meta, t.Mail = meta, mail
 	for i := range t.Cohorts {
@@ -200,8 +198,6 @@ func (t *Txn) Reset(meta *cc.TxnMeta, mail *sim.Mailbox) {
 // Attach adds a cohort to the attempt, assigning its index and resetting
 // its per-attempt protocol state. The cohort keeps its Deferred backing
 // array (resliced to empty) and its pre-bound continuations.
-//
-//ddbmlint:hotpath per-attempt cohort registration
 func (t *Txn) Attach(c *Cohort) {
 	c.Idx = len(t.Cohorts)
 	c.t = t
@@ -217,7 +213,7 @@ func (t *Txn) Attach(c *Cohort) {
 		c.voteForceFn = c.votedAfterForce
 		c.ackForceFn = c.ackAfterForce
 	}
-	t.Cohorts = append(t.Cohorts, c) //ddbmlint:allow hotpath-alloc cohort slice grows to the attempt high-water mark and survives recycling
+	t.Cohorts = append(t.Cohorts, c)
 }
 
 // Env is the narrow facade over the machine resources a commit protocol
@@ -315,15 +311,13 @@ func New(k Kind) (*Protocol, error) {
 // Each envelope carries the cohort itself as its handler and holds one
 // attempt reference until the handler's chain completes. It returns the
 // number of messages sent.
-//
-//ddbmlint:hotpath per-cohort broadcast pinned by TestTxnPathAllocFree
 func fanOut(env Env, cohorts []*Cohort, tag int) int {
 	n := 0
 	for _, c := range cohorts {
 		if c.done || c.dead {
 			continue
 		}
-		if env.Down(c.Meta.Node) { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		if env.Down(c.Meta.Node) {
 			// A crashed node's cohort state is the recovery layer's
 			// problem; sending would only be dropped at the network.
 			continue
@@ -332,8 +326,8 @@ func fanOut(env Env, cohorts []*Cohort, tag int) int {
 		if tag == tagAbort {
 			c.abortSent = true
 		}
-		env.Retain()                              //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
-		env.Send(env.Host(), c.Meta.Node, c, tag) //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
+		env.Retain()
+		env.Send(env.Host(), c.Meta.Node, c, tag)
 	}
 	return n
 }

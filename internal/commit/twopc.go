@@ -51,8 +51,6 @@ const (
 // Commit drives the coordinator through prepare → decide → resolve. Any
 // failed vote, abort signal, or abort raced in behind a log force returns
 // Aborted with the attempt still unresolved; the caller runs Abort.
-//
-//ddbmlint:hotpath coordinator commit path pinned by TestTxnPathAllocFree
 func (tp *Protocol) Commit(k *sim.Cont, env Env, t *Txn) Status {
 	meta := t.Meta
 	switch t.step {
@@ -61,12 +59,12 @@ func (tp *Protocol) Commit(k *sim.Cont, env Env, t *Txn) Status {
 		// Phase one: the commit timestamp travels to every cohort in the
 		// "prepare to commit" message (OPT certifies against it).
 		meta.State = cc.Preparing
-		meta.CommitTS = env.NextTS()       //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
-		if tp.initForce && env.Logging() { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		meta.CommitTS = env.NextTS()
+		if tp.initForce && env.Logging() {
 			// Presumed commit: force the collecting record before any
 			// cohort can prepare, or a coordinator crash would
 			// presume-commit a transaction that never decided.
-			env.ForceLog(k, false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+			env.ForceLog(k, false)
 			t.step = stepInitForced
 			return Waiting
 		}
@@ -96,12 +94,12 @@ func (tp *Protocol) Commit(k *sim.Cont, env Env, t *Txn) Status {
 		// coordinator learns of it before deciding, so the abort wins.
 		return t.finish(Aborted)
 	}
-	env.Prepared() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Prepared()
 
-	if env.Logging() && tp.decisionForce(t) { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	if env.Logging() && tp.decisionForce(t) {
 		// Force the commit record at the coordinator's node before the
 		// decision becomes durable (and before the response completes).
-		env.ForceLog(k, false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		env.ForceLog(k, false)
 		t.step = stepDecisionForced
 		return Waiting
 	}
@@ -113,14 +111,12 @@ func (tp *Protocol) Commit(k *sim.Cont, env Env, t *Txn) Status {
 // asynchronously: COMMIT messages release locks and install updates at
 // each node, and cohorts acknowledge (CPU load only) where the variant
 // requires it.
-//
-//ddbmlint:hotpath commit decision pinned by TestTxnPathAllocFree
 func (tp *Protocol) decide(env Env, t *Txn) Status {
 	meta := t.Meta
 	meta.State = cc.Committing
-	meta.DecisionTS = env.NextTS() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-	env.Decided(true)              //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-	env.RecordCommit()             //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	meta.DecisionTS = env.NextTS()
+	env.Decided(true)
+	env.RecordCommit()
 
 	fanOut(env, t.Cohorts, tagCommit)
 	return t.finish(Committed)
@@ -146,8 +142,6 @@ func (t *Txn) finish(st Status) Status {
 // transaction could overwrite the released reads and then be overwritten
 // by this one), so the short-circuit is suppressed for the whole
 // transaction.
-//
-//ddbmlint:hotpath prepare fan-out pinned by TestTxnPathAllocFree
 func (tp *Protocol) sendPrepares(env Env, t *Txn) {
 	t.step, t.pending = stepVotes, len(t.Cohorts)
 	t.shortCircuit = tp.shortCircuitRO
@@ -167,8 +161,6 @@ func (tp *Protocol) sendPrepares(env Env, t *Txn) {
 // coordinator's mailbox at the host. Host-bound deliveries release the
 // attempt reference their envelope held; node-bound steps pass theirs
 // down their continuation chain.
-//
-//ddbmlint:hotpath protocol message dispatch pinned by TestTxnPathAllocFree
 func (c *Cohort) HandleMsg(tag int) {
 	switch tag {
 	case tagPrepare:
@@ -179,35 +171,33 @@ func (c *Cohort) HandleMsg(tag int) {
 		c.abortAtNode()
 	case tagVote:
 		c.t.Mail.Send(&c.vote)
-		c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; the sole simulation implementation is core's free-listed protocolEnv
+		c.t.env.Release()
 	case tagAck:
 		c.t.Mail.Send(&c.ack)
-		c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		c.t.env.Release()
 	}
 }
 
 // prepare runs the cohort's local first phase at its node.
-//
-//ddbmlint:hotpath cohort prepare step pinned by TestTxnPathAllocFree
 func (c *Cohort) prepare() {
 	t := c.t
 	env := t.env
-	mgr := env.Manager(c.Meta.Node) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	mgr := env.Manager(c.Meta.Node)
 	if t.shortCircuit && c.ReadOnly {
 		// The READ vote still runs the local first phase (OPT must
 		// certify the reads) but skips the prepare-record force: a
 		// cohort with nothing to redo or undo has nothing to log.
-		if mgr.Prepare(c.Meta) { //ddbmlint:allow hotpath-alloc cc.Manager dispatch; managers are audited by TestSteadyStateAllocFree
-			mgr.Commit(c.Meta) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
+		if mgr.Prepare(c.Meta) {
+			mgr.Commit(c.Meta)
 			c.done = true
-			env.CohortResolved(c, true) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+			env.CohortResolved(c, true)
 			c.vote.Yes, c.vote.ReadOnly = true, true
 			c.sendVote()
 		} else {
 			c.vote.Yes, c.vote.ReadOnly = false, false
 			c.sendVote()
 		}
-		env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		env.Release()
 		return
 	}
 	if len(c.Deferred) > 0 {
@@ -215,35 +205,31 @@ func (c *Cohort) prepare() {
 		// in the first phase of the commit protocol; the node may
 		// block before it can vote. The chain keeps this envelope's
 		// attempt reference until deferredDone finishes.
-		mgr.(cc.DeferredWriter).PrepareDeferred(c.Meta, c.Deferred, c.deferredFn) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
+		mgr.(cc.DeferredWriter).PrepareDeferred(c.Meta, c.Deferred, c.deferredFn)
 		return
 	}
-	c.reply(mgr.Prepare(c.Meta)) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; see above
-	env.Release()                //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	c.reply(mgr.Prepare(c.Meta))
+	env.Release()
 }
 
 // deferredDone continues prepare once the deferred write permissions are
 // resolved, then releases the prepare envelope's attempt reference.
-//
-//ddbmlint:hotpath deferred-write prepare continuation
 func (c *Cohort) deferredDone(ok bool) {
 	env := c.t.env
-	c.reply(ok && env.Manager(c.Meta.Node).Prepare(c.Meta)) //ddbmlint:allow hotpath-alloc Env/cc.Manager dispatch; see above
-	env.Release()                                           //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	c.reply(ok && env.Manager(c.Meta.Node).Prepare(c.Meta))
+	env.Release()
 }
 
 // reply votes for the cohort, forcing the prepare record first on a YES
 // vote when logging is modeled.
-//
-//ddbmlint:hotpath cohort vote path pinned by TestTxnPathAllocFree
 func (c *Cohort) reply(yes bool) {
 	env := c.t.env
 	c.vote.Yes, c.vote.ReadOnly = yes, false
-	if yes && env.Logging() { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	if yes && env.Logging() {
 		// Force the cohort's prepare record before voting yes
 		// (footnote 5: only log pages are forced pre-commit).
-		env.Retain()                                         //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-		env.ForceLogAsync(c.Meta.Node, false, c.voteForceFn) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		env.Retain()
+		env.ForceLogAsync(c.Meta.Node, false, c.voteForceFn)
 		return
 	}
 	c.sendVote()
@@ -251,82 +237,70 @@ func (c *Cohort) reply(yes bool) {
 
 // votedAfterForce sends the YES vote once the prepare record is on disk,
 // releasing the force chain's attempt reference.
-//
-//ddbmlint:hotpath post-force vote continuation
 func (c *Cohort) votedAfterForce() {
 	c.sendVote()
-	c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	c.t.env.Release()
 }
 
 // sendVote ships the cohort's embedded vote to the coordinator. A
 // non-read-only YES vote opens the cohort's in-doubt window: from here
 // until the decision is applied at its node, a crash leaves the cohort's
 // locks held hostage to the commit protocol's resolution rules.
-//
-//ddbmlint:hotpath vote send pinned by TestTxnPathAllocFree
 func (c *Cohort) sendVote() {
 	env := c.t.env
 	if c.vote.Yes && !c.vote.ReadOnly {
-		env.CohortInDoubt(c) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		env.CohortInDoubt(c)
 	}
-	env.Retain()                                  //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-	env.Send(c.Meta.Node, env.Host(), c, tagVote) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Retain()
+	env.Send(c.Meta.Node, env.Host(), c, tagVote)
 }
 
 // commitAtNode runs phase two at the cohort's node: release locks, install
 // the buffered updates, and acknowledge (CPU load only) where the variant
 // requires it.
-//
-//ddbmlint:hotpath phase-two commit step pinned by TestTxnPathAllocFree
 func (c *Cohort) commitAtNode() {
 	t := c.t
 	env := t.env
-	env.Manager(c.Meta.Node).Commit(c.Meta) //ddbmlint:allow hotpath-alloc Env/cc.Manager dispatch; see above
-	env.InstallCommit(c)                    //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-	env.CohortResolved(c, true)             //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Manager(c.Meta.Node).Commit(c.Meta)
+	env.InstallCommit(c)
+	env.CohortResolved(c, true)
 	if t.tp.ackCommits {
-		env.Send(c.Meta.Node, env.Host(), nil, 0) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		env.Send(c.Meta.Node, env.Host(), nil, 0)
 	}
-	env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Release()
 }
 
 // abortAtNode resolves the abort at the cohort's node: release locks,
 // force the abort record first where the variant demands it, and
 // acknowledge where required.
-//
-//ddbmlint:hotpath abort step on the transaction path
 func (c *Cohort) abortAtNode() {
 	t := c.t
 	env := t.env
-	env.Manager(c.Meta.Node).Abort(c.Meta) //ddbmlint:allow hotpath-alloc Env/cc.Manager dispatch; see above
-	env.CohortResolved(c, false)           //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Manager(c.Meta.Node).Abort(c.Meta)
+	env.CohortResolved(c, false)
 	if t.tp.ackAborts {
-		if t.tp.abortForce && env.Logging() { //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-			env.Retain()                                       //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-			env.ForceLogAsync(c.Meta.Node, true, c.ackForceFn) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		if t.tp.abortForce && env.Logging() {
+			env.Retain()
+			env.ForceLogAsync(c.Meta.Node, true, c.ackForceFn)
 		} else {
 			c.sendAck()
 		}
 	}
-	env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Release()
 }
 
 // ackAfterForce acknowledges the abort once the abort record is on disk,
 // releasing the force chain's attempt reference.
-//
-//ddbmlint:hotpath post-force ack continuation
 func (c *Cohort) ackAfterForce() {
 	c.sendAck()
-	c.t.env.Release() //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	c.t.env.Release()
 }
 
 // sendAck ships the cohort's embedded abort ack to the coordinator.
-//
-//ddbmlint:hotpath ack send on the abort path
 func (c *Cohort) sendAck() {
 	env := c.t.env
-	env.Retain()                                 //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
-	env.Send(c.Meta.Node, env.Host(), c, tagAck) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+	env.Retain()
+	env.Send(c.Meta.Node, env.Host(), c, tagAck)
 }
 
 // collectVotes consumes coordinator mail until every cohort has voted yes.
@@ -334,8 +308,6 @@ func (c *Cohort) sendAck() {
 // first, and k then waits on it — and whether every vote was yes: the
 // first no vote or abort signal ends it with no. Stale messages from the
 // attempt's work phase are ignored.
-//
-//ddbmlint:hotpath vote collection pinned by TestTxnPathAllocFree
 func (tp *Protocol) collectVotes(k *sim.Cont, t *Txn) (over, yes bool) {
 	for t.pending > 0 {
 		msg, ok := t.Mail.Recv(k)
@@ -384,12 +356,10 @@ func (tp *Protocol) decisionForce(t *Txn) bool {
 // also still in flight, and the Idx accounting absorbs the duplicate
 // instead of miscounting another cohort's ack. Unconsumed duplicates die
 // with the attempt's mailbox reset.
-//
-//ddbmlint:hotpath coordinator abort path on the transaction path
 func (tp *Protocol) Abort(k *sim.Cont, env Env, t *Txn, loaded int) Status {
 	if t.step != stepAcks {
 		t.env, t.tp = env, tp
-		env.Decided(false) //ddbmlint:allow hotpath-alloc Env facade dispatch; see above
+		env.Decided(false)
 		fanOut(env, t.Cohorts[:loaded], tagAbort)
 		t.step, t.pending = stepAcks, 0
 		if tp.ackAborts {

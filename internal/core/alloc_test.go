@@ -38,6 +38,13 @@ import (
 // locks deferred to commit, so writes add accesses at a second node) and
 // ways2 (PartitionWays 2, several partitions of a relation per node). An
 // under-counted bound shows up here as allocations.
+//
+// Three more 2PL cases run branches the others never reach: sequential
+// cohort execution (ExecPattern Sequential), message loss and duplication
+// firing with retransmission but no crashes, and the lock-wait timeout
+// scheme (a pooled timer per blocked request, in place of detection).
+// Crashes themselves are not pinned: the crash and recovery path allocates
+// (ROADMAP).
 func TestTxnPathAllocFree(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -46,7 +53,7 @@ func TestTxnPathAllocFree(t *testing.T) {
 		logging   bool
 		breakdown bool
 		armed     bool
-		place     func(*Config) // placement knobs; nil keeps testConfig's
+		knobs     func(*Config) // placement and other knobs; nil keeps testConfig's
 	}{
 		{"2PC-logging", cc.TwoPL, commit.CentralizedTwoPC, true, false, false, nil},
 		{"PA-logging", cc.TwoPL, commit.PresumedAbort, true, false, false, nil},
@@ -73,6 +80,15 @@ func TestTxnPathAllocFree(t *testing.T) {
 		{"2PL-ways2", cc.TwoPL, commit.CentralizedTwoPC, true, false, false, func(c *Config) {
 			c.PartitionWays = 2
 		}},
+		{"2PL-sequential", cc.TwoPL, commit.PresumedAbort, true, false, false, func(c *Config) {
+			c.ExecPattern = Sequential
+		}},
+		{"2PL-loss-dup", cc.TwoPL, commit.PresumedAbort, true, false, false, func(c *Config) {
+			c.Faults = fault.Config{Enabled: true, DropProb: 0.01, DupProb: 0.01, RetransmitDelayMs: 50}
+		}},
+		{"2PL-timeout", cc.TwoPL, commit.PresumedAbort, true, false, false, func(c *Config) {
+			c.LockWaitTimeoutMs = 1_000
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,8 +96,8 @@ func TestTxnPathAllocFree(t *testing.T) {
 			cfg.CommitProtocol = tc.proto
 			cfg.ModelLogging = tc.logging
 			cfg.Breakdown = tc.breakdown
-			if tc.place != nil {
-				tc.place(&cfg)
+			if tc.knobs != nil {
+				tc.knobs(&cfg)
 			}
 			if tc.armed {
 				cfg.Faults = fault.Config{

@@ -57,8 +57,6 @@ func (b *breakdown) class(termID int) int {
 // noteCommit records a committed transaction's phase totals into its
 // class's histograms. Windowed to the measurement interval alongside
 // statsCollector.txnCommitted (same call site, same instant).
-//
-//ddbmlint:hotpath per-commit breakdown recording pinned by TestTxnPathAllocFree
 func (b *breakdown) noteCommit(class int, ld *obs.Ledger, measuring bool) {
 	if b == nil || !measuring {
 		return
@@ -73,8 +71,6 @@ func (b *breakdown) noteCommit(class int, ld *obs.Ledger, measuring bool) {
 // attributing node. Runs inside abortAttempt, the single funnel every
 // abort resolves through, at the same instant statsCollector.txnAborted
 // tallies the attempt — so summed cause counts equal Result.Aborts.
-//
-//ddbmlint:hotpath per-abort cause recording pinned by TestTxnPathAllocFree
 func (b *breakdown) noteAbort(meta *cc.TxnMeta, measuring bool) {
 	if b == nil || !measuring {
 		return

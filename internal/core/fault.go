@@ -105,14 +105,11 @@ func newFaultState(m *Machine) *faultState {
 // (swap-removal keyed by attemptState.liveIdx). attemptGone also retires
 // the attempt's decision-registry entry: residents pin their attempt, so
 // an entry is never dropped while an inquiry can still need it.
-//
-//ddbmlint:hotpath attempt registration on every acquire/recycle
 func (f *faultState) attemptLive(a *attemptState) {
 	a.liveIdx = len(f.liveAttempts)
-	f.liveAttempts = append(f.liveAttempts, a) //ddbmlint:allow hotpath-alloc registry growth chases the concurrent-attempt high-water mark
+	f.liveAttempts = append(f.liveAttempts, a)
 }
 
-//ddbmlint:hotpath attempt registration on every acquire/recycle
 func (f *faultState) attemptGone(a *attemptState) {
 	last := len(f.liveAttempts) - 1
 	i := a.liveIdx
@@ -126,20 +123,16 @@ func (f *faultState) attemptGone(a *attemptState) {
 }
 
 // register adds a cohort to its node's crash registry at load delivery.
-//
-//ddbmlint:hotpath cohort registration on every load
 func (f *faultState) register(c *cohortRun) {
 	n := c.meta.Node
 	c.phase = phaseLoaded
 	c.regIdx = len(f.nodeRuns[n])
-	f.nodeRuns[n] = append(f.nodeRuns[n], c) //ddbmlint:allow hotpath-alloc registry growth chases the per-node cohort high-water mark
+	f.nodeRuns[n] = append(f.nodeRuns[n], c)
 }
 
 // deregister swap-removes a cohort from its node's registry. Safe to call
 // for cohorts that never registered (their load was dropped at a down
 // node): phaseIdle is a no-op.
-//
-//ddbmlint:hotpath cohort removal on every resolution
 func (f *faultState) deregister(c *cohortRun) {
 	if c.phase == phaseIdle || c.phase == phaseGone {
 		return
@@ -159,8 +152,6 @@ func (f *faultState) deregister(c *cohortRun) {
 // (and its forced prepare record, counted in the simulated WAL) is about
 // to leave the node, and until the decision arrives a crash strands the
 // cohort's locks.
-//
-//ddbmlint:hotpath vote-time hook on every non-read-only yes vote
 func (f *faultState) openInDoubt(c *cohortRun) {
 	c.meta.InDoubt = true
 	c.inDoubtAt = f.m.sim.Now()
@@ -169,8 +160,6 @@ func (f *faultState) openInDoubt(c *cohortRun) {
 
 // resolveRun closes a cohort's in-doubt window (when one is open), retires
 // its WAL record, and removes it from the crash registry.
-//
-//ddbmlint:hotpath resolution hook on every cohort outcome
 func (f *faultState) resolveRun(c *cohortRun) {
 	if c.meta.InDoubt {
 		c.meta.InDoubt = false
@@ -196,8 +185,6 @@ func (f *faultState) noteInDoubtBlock(d sim.Time) {
 // but only once a resident exists to ask about: the registry stays
 // bounded by the number of stranded cohorts instead of every in-flight
 // attempt.
-//
-//ddbmlint:hotpath decision hook on every commit/abort decision
 func (f *faultState) noteDecision(runs []*cohortRun, committed bool) {
 	if f.reg == nil {
 		return

@@ -245,8 +245,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 // onBlocked tallies every blocking episode (see cohortRun.blocked), plus —
 // when the fault layer is active and the lock table attributed the wait
 // to an in-doubt cohort of a crashed node — the blocked-in-doubt account.
-//
-//ddbmlint:hotpath blocking-episode tally on every lock wait
 func (m *Machine) onBlocked(co *cc.CohortMeta, d sim.Time) {
 	m.stats.blocked(d)
 	if m.ft != nil && co.BlockedInDoubt {

@@ -66,7 +66,7 @@ func (s *statsCollector) txnCommitted(now sim.Time, responseMs float64, restarts
 	s.commits++
 	s.resp.Add(responseMs)
 	if len(s.respAll) < maxRespSamples {
-		s.respAll = append(s.respAll, responseMs) //ddbmlint:allow hotpath-alloc sample buffer preallocated to the expected commit count; growth past the estimate is amortized and capped
+		s.respAll = append(s.respAll, responseMs)
 	}
 	s.respBatch.Add(responseMs)
 	s.restarts.Add(float64(restarts))

@@ -39,15 +39,12 @@ type protocolEnv struct {
 
 func (e *protocolEnv) Host() int { return e.m.hostID }
 
-//ddbmlint:hotpath protocol message send pinned by TestTxnPathAllocFree
 func (e *protocolEnv) Send(from, to int, h network.Handler, tag int) {
 	e.m.net.Send(from, to, h, tag)
 }
 
-//ddbmlint:hotpath protocol reference counting pinned by TestTxnPathAllocFree
 func (e *protocolEnv) Retain() { e.a.retain() }
 
-//ddbmlint:hotpath protocol reference counting pinned by TestTxnPathAllocFree
 func (e *protocolEnv) Release() { e.a.release() }
 
 func (e *protocolEnv) Manager(node int) cc.Manager { return e.m.mgrs[node] }
@@ -57,8 +54,6 @@ func (e *protocolEnv) Logging() bool               { return e.m.cfg.ModelLogging
 // ForceLog forces a log record at the coordinator's node: a synchronous
 // priority write on the host's disks, resuming the coordinator at k when
 // it completes.
-//
-//ddbmlint:hotpath coordinator log force pinned by TestTxnPathAllocFree
 func (e *protocolEnv) ForceLog(k *sim.Cont, abortPath bool) {
 	e.m.countLogForce(abortPath)
 	e.m.hostDisks.Write(k)
@@ -66,8 +61,6 @@ func (e *protocolEnv) ForceLog(k *sim.Cont, abortPath bool) {
 
 // ForceLogAsync forces a log record at a cohort node's disks, running done
 // when the write completes.
-//
-//ddbmlint:hotpath cohort log force pinned by TestTxnPathAllocFree
 func (e *protocolEnv) ForceLogAsync(node int, abortPath bool, done func()) {
 	e.m.countLogForce(abortPath)
 	e.m.disks[node].WriteAsync(done)
@@ -77,8 +70,6 @@ func (e *protocolEnv) ForceLogAsync(node int, abortPath bool, done func()) {
 // audit installs, then one InstPerUpdate CPU burst per updated page to
 // initiate the deferred disk write (through the node's pre-bound
 // write-back continuation).
-//
-//ddbmlint:hotpath phase-two update install pinned by TestTxnPathAllocFree
 func (e *protocolEnv) InstallCommit(c *commit.Cohort) {
 	m := e.m
 	run := e.runs[c.Idx]
@@ -99,9 +90,9 @@ func (e *protocolEnv) InstallCommit(c *commit.Cohort) {
 }
 
 // RecordCommit registers the committed transaction with the
-// serializability auditor (a no-op unless Config.Audit). Deliberately not
-// hotpath-annotated: auditing is off in measured runs, and audited runs
-// trade per-commit record allocation for the serializability check.
+// serializability auditor (a no-op unless Config.Audit). Audited runs
+// allocate a record per commit here; auditing is off in measured runs and
+// in the allocation pins.
 func (e *protocolEnv) RecordCommit() {
 	m := e.m
 	if m.rec == nil {
@@ -125,8 +116,6 @@ func (e *protocolEnv) RecordCommit() {
 // events and close the corresponding commit-phase spans ("prepare" runs
 // from protocol entry to all-votes-collected, "decide" from there to the
 // logged decision). Observation only: no effect on simulated behaviour.
-//
-//ddbmlint:hotpath prepare-phase hook pinned by TestTxnPathAllocFree
 func (e *protocolEnv) Prepared() {
 	e.a.bd.Spend(e.m.sim.Now(), obs.PhasePrepare)
 	e.prepared = true
@@ -137,7 +126,6 @@ func (e *protocolEnv) Prepared() {
 	}
 }
 
-//ddbmlint:hotpath decision hook pinned by TestTxnPathAllocFree
 func (e *protocolEnv) Decided(committed bool) {
 	ph := obs.PhasePrepare
 	if e.prepared {
@@ -162,8 +150,6 @@ func (e *protocolEnv) Decided(committed bool) {
 // is forced and about to be sent) until it learns the global outcome, a
 // crash at its node strands its locks behind the commit protocol. No-op
 // without the fault layer.
-//
-//ddbmlint:hotpath vote-send hook pinned by TestTxnPathAllocFree
 func (e *protocolEnv) CohortInDoubt(c *commit.Cohort) {
 	if e.m.ft == nil {
 		return
@@ -175,8 +161,6 @@ func (e *protocolEnv) CohortInDoubt(c *commit.Cohort) {
 // retires its crash-registry entry: the cohort has learned the outcome (or
 // was released read-only before any window opened). No-op without the
 // fault layer.
-//
-//ddbmlint:hotpath outcome-learned hook pinned by TestTxnPathAllocFree
 func (e *protocolEnv) CohortResolved(c *commit.Cohort, committed bool) {
 	if e.m.ft == nil {
 		return
@@ -187,16 +171,12 @@ func (e *protocolEnv) CohortResolved(c *commit.Cohort, committed bool) {
 // Down reports whether a cohort's node is currently crashed, so the
 // protocol's fan-outs skip dead destinations. Always false without the
 // fault layer.
-//
-//ddbmlint:hotpath fan-out guard pinned by TestTxnPathAllocFree
 func (e *protocolEnv) Down(node int) bool {
 	return e.m.ft != nil && e.m.ft.inj.Down(node)
 }
 
 // countLogForce tallies modeled log forces over the whole run (like
 // MessagesSent, not windowed to the measurement interval).
-//
-//ddbmlint:hotpath log force accounting
 func (m *Machine) countLogForce(abortPath bool) {
 	m.logForces++
 	if abortPath {
@@ -209,14 +189,12 @@ func (m *Machine) countLogForce(abortPath bool) {
 // remote-copy writes under DeferRemoteWriteLocks ([Care89]). The
 // destination is the pooled cohort's Deferred buffer, resliced to empty by
 // Txn.Attach, so steady-state collection reuses its backing array.
-//
-//ddbmlint:hotpath deferred-permission collection pinned by TestTxnPathAllocFree
 func (m *Machine) appendDeferred(dst *[]db.PageID, cp *workload.CohortPlan) {
 	for i := range cp.Accesses {
 		a := &cp.Accesses[i]
 		if (m.cfg.Algorithm == cc.O2PL && a.Write) ||
 			(m.cfg.DeferRemoteWriteLocks && a.Remote) {
-			*dst = append(*dst, a.Page) //ddbmlint:allow hotpath-alloc high-water growth; the buffer survives recycling
+			*dst = append(*dst, a.Page)
 		}
 	}
 }

@@ -138,8 +138,6 @@ type cohortRun struct {
 // pool) and resets it for one attempt: fresh metadata with a new attempt
 // timestamp, an empty mailbox and cohort list, and one reference held by
 // the coordinator.
-//
-//ddbmlint:hotpath per-attempt state acquisition pinned by TestTxnPathAllocFree
 func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload.TxnPlan, ld *obs.Ledger) *attemptState {
 	var a *attemptState
 	if k := len(m.attemptFree); k > 0 {
@@ -147,7 +145,7 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 		m.attemptFree[k-1] = nil
 		m.attemptFree = m.attemptFree[:k-1]
 	} else {
-		a = &attemptState{m: m, abortNotice: commit.AbortSignal{Idx: -1}} //ddbmlint:allow hotpath-alloc pool growth: one state per high-water concurrent attempt
+		a = &attemptState{m: m, abortNotice: commit.AbortSignal{Idx: -1}}
 		a.onAbortFn = a.onAbort
 		a.env.m = m
 		a.env.a = a
@@ -169,16 +167,12 @@ func (m *Machine) acquireAttempt(id, origTS int64, attemptNo int, plan *workload
 }
 
 // retain adds one in-flight reference to the attempt.
-//
-//ddbmlint:hotpath reference count on every attempt message
 func (a *attemptState) retain() { a.refs++ }
 
 // release drops one reference; at zero the attempt has quiesced — no
 // envelope, continuation or process can reach it — so its mailbox is
 // cleared, its plan reference returned to the generator, and the state
 // pushed back on the machine's free list.
-//
-//ddbmlint:hotpath reference count on every attempt message
 func (a *attemptState) release() {
 	a.refs--
 	if a.refs > 0 {
@@ -193,15 +187,13 @@ func (a *attemptState) release() {
 	if a.m.ft != nil {
 		a.m.ft.attemptGone(a)
 	}
-	a.m.attemptFree = append(a.m.attemptFree, a) //ddbmlint:allow hotpath-alloc free-list push; capacity reaches the concurrent-attempt high-water mark
+	a.m.attemptFree = append(a.m.attemptFree, a)
 }
 
 // onAbort is the pre-bound cc.TxnMeta.OnAbort hook: a manager at fromNode
 // demands the attempt abort, and the notice travels to the coordinator
 // with full message costs. The notice carries nothing: the reason is
 // recorded on the attempt's metadata (TxnMeta.AbortReason).
-//
-//ddbmlint:hotpath wound/deadlock abort notification
 func (a *attemptState) onAbort(fromNode int) {
 	a.retain()
 	a.m.net.Send(fromNode, a.m.hostID, a, tagAbortNotice)
@@ -209,8 +201,6 @@ func (a *attemptState) onAbort(fromNode int) {
 
 // HandleMsg delivers the attempt's abort notice into the coordinator's
 // mailbox.
-//
-//ddbmlint:hotpath abort-notice delivery
 func (a *attemptState) HandleMsg(int) {
 	a.mail.Send(&a.abortNotice)
 	a.release()
@@ -232,8 +222,6 @@ func (a *attemptState) sendCrashNotice() {
 
 // addCohort appends one cohort run to the attempt, reusing the pooled
 // cohortRun (and its embedded protocol Cohort) at that position.
-//
-//ddbmlint:hotpath per-attempt cohort setup pinned by TestTxnPathAllocFree
 func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohortRun {
 	n := len(a.runs)
 	if n < cap(a.runs) {
@@ -242,7 +230,7 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 			a.runs[n] = newCohortRun(a)
 		}
 	} else {
-		a.runs = append(a.runs, newCohortRun(a)) //ddbmlint:allow hotpath-alloc pool growth: one run per high-water cohort slot
+		a.runs = append(a.runs, newCohortRun(a))
 	}
 	c := a.runs[n]
 	c.idx, c.attempt, c.plan = n, attemptNo, cp
@@ -268,12 +256,12 @@ func (a *attemptState) addCohort(cp *workload.CohortPlan, attemptNo int) *cohort
 // (Machine.deferredCap), so appendDeferred never regrows it on the
 // transaction path.
 func newCohortRun(a *attemptState) *cohortRun {
-	c := &cohortRun{a: a, m: a.m} //ddbmlint:allow hotpath-alloc pool growth: one run per high-water cohort slot
+	c := &cohortRun{a: a, m: a.m}
 	c.spawnFn = c.spawn
 	c.blockedFn = c.blocked
 	c.k.Init(a.m.sim, c.step)
 	if n := a.m.deferredCap; n > 0 {
-		c.proto.Deferred = make([]db.PageID, 0, n) //ddbmlint:allow hotpath-alloc pool growth: sized once per pooled cohort run
+		c.proto.Deferred = make([]db.PageID, 0, n)
 	}
 	return c
 }
@@ -358,8 +346,6 @@ func (m *Machine) newTerminal(t *terminal, termID int) {
 }
 
 // step runs the coordinator from its resume point until it must wait.
-//
-//ddbmlint:hotpath transaction driver pinned by TestTxnPathAllocFree
 func (t *terminal) step() {
 	m := t.m
 	cfg := &m.cfg
@@ -383,7 +369,7 @@ func (t *terminal) step() {
 			if m.ft != nil && m.ft.inj.HostDown() {
 				// The coordinator host is mid-failover; RecoverHost
 				// resumes the held terminals, and this step checks again.
-				m.ft.hostWaiters = append(m.ft.hostWaiters, &t.k) //ddbmlint:allow hotpath-alloc waiter-queue growth chases the terminal count; reached only mid-failover
+				m.ft.hostWaiters = append(m.ft.hostWaiters, &t.k)
 				return
 			}
 			attemptNo := t.restarts + 1
@@ -506,8 +492,6 @@ func (t *terminal) step() {
 // beginAbort marks the attempt aborted (with a default reason when no
 // party recorded one) and enters the commit protocol's abort path across
 // the loaded cohorts.
-//
-//ddbmlint:hotpath abort resolution pinned by TestTxnPathAllocFree
 func (t *terminal) beginAbort() {
 	a := t.a
 	meta := &a.meta
@@ -524,8 +508,6 @@ func (t *terminal) beginAbort() {
 
 // abortResolved closes the abort path once the protocol lets the
 // coordinator forget the attempt, and returns the abort reason.
-//
-//ddbmlint:hotpath abort resolution pinned by TestTxnPathAllocFree
 func (t *terminal) abortResolved() string {
 	m, a := t.m, t.a
 	// Abort resolution: from the abort decision (Decided(false) fires at
@@ -543,8 +525,6 @@ func (t *terminal) abortResolved() string {
 
 // endAttempt drops the coordinator's reference to the finished attempt
 // (an attempt with no stragglers recycles here) and records its span.
-//
-//ddbmlint:hotpath attempt end pinned by TestTxnPathAllocFree
 func (t *terminal) endAttempt() {
 	attemptNo := t.a.env.attempt
 	t.a.release()
@@ -554,8 +534,6 @@ func (t *terminal) endAttempt() {
 
 // committed completes the transaction: response-time statistics, the
 // breakdown record, and the plan's return to the generator.
-//
-//ddbmlint:hotpath transaction commit pinned by TestTxnPathAllocFree
 func (t *terminal) committed() {
 	m := t.m
 	m.tracer.Instant(obs.NameCommitted, m.hostID, t.txn, t.restarts+1, "")
@@ -563,7 +541,7 @@ func (t *terminal) committed() {
 	m.stats.txnCommitted(m.sim.Now(), resp, t.restarts)
 	m.bd.noteCommit(t.classIdx, t.ld, m.stats.measuring)
 	if m.bdCheck != nil && t.ld != nil {
-		m.bdCheck(t.ld, resp) //ddbmlint:allow hotpath-alloc reconciliation test seam; nil outside tests
+		m.bdCheck(t.ld, resp)
 	}
 	m.gen.Release(t.plan)
 	t.plan = nil
@@ -577,8 +555,6 @@ func (t *terminal) committed() {
 // in delivery order, so the last consumed done is the latest delivered)
 // or the self-aborting cohort — or -1 when an attempt-level abort notice
 // ended it.
-//
-//ddbmlint:hotpath coordinator mail loop pinned by TestTxnPathAllocFree
 func (t *terminal) awaitDone() (ok, waiting bool) {
 	for t.await > 0 {
 		msg, got := t.a.mail.Recv(&t.k)
@@ -603,8 +579,6 @@ func (t *terminal) awaitDone() (ok, waiting bool) {
 // exactly (its last entry is the done-report transit, ending at this
 // delivery); a fold with no reporting cohort (crit < 0, an abort notice)
 // sweeps the interval into the residue phase.
-//
-//ddbmlint:hotpath work-phase breakdown fold pinned by TestTxnPathAllocFree
 func (a *attemptState) foldWork(crit int) {
 	if a.bd == nil {
 		return
@@ -620,8 +594,6 @@ func (a *attemptState) foldWork(crit int) {
 // process-startup CPU cost is paid and the cohort process begins. The
 // reference taken here is held until the cohort process ends, so an
 // attempt never recycles under a cohort that is still winding down.
-//
-//ddbmlint:hotpath cohort load pinned by TestTxnPathAllocFree
 func (m *Machine) loadCohort(c *cohortRun) {
 	c.a.retain()
 	c.bd.StartAt(m.sim.Now())
@@ -633,8 +605,6 @@ func (m *Machine) loadCohort(c *cohortRun) {
 // coordinator's mailbox at the host. Host-bound deliveries release the
 // reference their envelope held; the load step passes its reference to the
 // cohort process.
-//
-//ddbmlint:hotpath work-phase message dispatch pinned by TestTxnPathAllocFree
 func (c *cohortRun) HandleMsg(tag int) {
 	switch tag {
 	case tagCohortLoad:
@@ -683,8 +653,6 @@ func (c *cohortRun) HandleMsg(tag int) {
 func (c *cohortRun) MsgDropped(int) { c.a.release() }
 
 // spawn starts the cohort process once the startup CPU cost is paid.
-//
-//ddbmlint:hotpath cohort process start pinned by TestTxnPathAllocFree
 func (c *cohortRun) spawn() {
 	c.bd.SpendSplit(c.m.sim.Now(), c.m.cfg.InstPerStartup/c.m.cpus[c.meta.Node].Rate(),
 		obs.PhaseCPUService, obs.PhaseCPUQueue)
@@ -721,8 +689,6 @@ const (
 // aborted (the abort protocol handles cleanup), and reports conflicts it
 // loses to the coordinator. Every exit path releases the reference
 // loadCohort took.
-//
-//ddbmlint:hotpath cohort work phase pinned by TestTxnPathAllocFree
 func (c *cohortRun) step() {
 	m := c.m
 	cfg := &m.cfg
@@ -799,7 +765,7 @@ func (c *cohortRun) step() {
 				return
 			}
 			if m.rec != nil {
-				c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, node)}) //ddbmlint:allow hotpath-alloc audit-only path; auditing is off in measured runs
+				c.reads = append(c.reads, audit.ReadObs{Page: a.Page, Saw: m.rec.ObserveRead(a.Page, node)})
 			}
 			c.pc = cohortRead
 			m.disks[node].Read(&c.k, &c.diskSvc)
@@ -856,16 +822,12 @@ func (c *cohortRun) step() {
 // use submits inst instructions of page-level CPU work and moves the
 // process to step next, reporting whether it must wait for the CPU (a
 // zero cost continues inline).
-//
-//ddbmlint:hotpath cohort CPU request pinned by TestTxnPathAllocFree
 func (c *cohortRun) use(inst float64, next uint8) bool {
 	c.pc = next
 	return c.m.cpus[c.meta.Node].Use(&c.k, inst)
 }
 
 // spendCPU accounts the CPU work just finished as service plus queueing.
-//
-//ddbmlint:hotpath cohort CPU accounting pinned by TestTxnPathAllocFree
 func (c *cohortRun) spendCPU(inst float64) {
 	c.bd.SpendSplit(c.m.sim.Now(), inst/c.m.cpus[c.meta.Node].Rate(), obs.PhaseCPUService, obs.PhaseCPUQueue)
 }
@@ -873,19 +835,15 @@ func (c *cohortRun) spendCPU(inst float64) {
 // access requests concurrency control permission for the access and moves
 // the process to step next, reporting whether it must wait for the
 // verdict.
-//
-//ddbmlint:hotpath cohort CC request pinned by TestTxnPathAllocFree
 func (c *cohortRun) access(a *workload.Access, write bool, next uint8) bool {
 	c.pc = next
-	c.out = c.m.mgrs[c.meta.Node].Access(&c.meta, a.Page, write) //ddbmlint:allow hotpath-alloc cc.Manager dispatch; managers are audited by their own alloc pins
+	c.out = c.m.mgrs[c.meta.Node].Access(&c.meta, a.Page, write)
 	return c.out == cc.Blocked
 }
 
 // verdict closes a concurrency control request: its outcome (read from
 // the cohort meta, with the episode observed, when the request waited),
 // with the time since the request accounted as lock blocking.
-//
-//ddbmlint:hotpath cohort CC verdict pinned by TestTxnPathAllocFree
 func (c *cohortRun) verdict() cc.Outcome {
 	out := c.out
 	if out == cc.Blocked {
@@ -901,8 +859,6 @@ func (c *cohortRun) verdict() cc.Outcome {
 // after d: a cc-wait span when tracing, then the machine's tally. It is
 // also the cohort meta's OnBlocked hook, for waits in a deferred-write
 // acquisition.
-//
-//ddbmlint:hotpath blocking-episode observation pinned by TestTxnPathAllocFree
 func (c *cohortRun) blocked(co *cc.CohortMeta, d sim.Time) {
 	if tr := c.m.tracer; tr != nil && d > 0 {
 		tr.Complete(obs.KindCCWait, obs.NameCCWait, c.meta.Node, c.meta.Txn.ID, c.attempt, c.m.sim.Now()-d)
@@ -911,8 +867,6 @@ func (c *cohortRun) blocked(co *cc.CohortMeta, d sim.Time) {
 }
 
 // selfAbort ends a work phase whose access concurrency control rejected.
-//
-//ddbmlint:hotpath cc-reject exit pinned by TestTxnPathAllocFree
 func (c *cohortRun) selfAbort() {
 	c.m.reportSelfAbort(c)
 	c.m.cohortDone(c)
@@ -922,8 +876,6 @@ func (c *cohortRun) selfAbort() {
 // cohortDone closes a cohort's observability state on every work-phase
 // exit path. A cohort still running when the simulation ends records no
 // span (its coordinator's attempt span never records either).
-//
-//ddbmlint:hotpath cohort exit pinned by TestTxnPathAllocFree
 func (m *Machine) cohortDone(c *cohortRun) {
 	if m.activeCohorts != nil {
 		m.activeCohorts[c.meta.Node]--
@@ -944,8 +896,6 @@ func locksUpFront(k cc.Kind) bool { return k == cc.TwoPL || k == cc.WoundWait }
 // reportSelfAbort tells the coordinator this cohort's access was rejected
 // by concurrency control. If the attempt is already being aborted the
 // coordinator knows, so nothing is sent.
-//
-//ddbmlint:hotpath cc-reject report pinned by TestTxnPathAllocFree
 func (m *Machine) reportSelfAbort(c *cohortRun) {
 	m.tracer.Instant(obs.NameCCReject, c.meta.Node, c.meta.Txn.ID, c.attempt, "")
 	if c.meta.Txn.AbortRequested {

@@ -126,15 +126,15 @@ func (c *Catalog) MaxPartsAtNode() int {
 // follows partition order, which is also the cohort execution order for
 // sequential transactions.
 func (c *Catalog) RelationNodes(rel int) (nodes []int, partsAt map[int][]int) {
-	partsAt = make(map[int][]int) //ddbmlint:allow hotpath-alloc called once per relation; workload.Generator caches the result
-	seen := make(map[int]bool)    //ddbmlint:allow hotpath-alloc called once per relation; see above
+	partsAt = make(map[int][]int)
+	seen := make(map[int]bool)
 	for part := 0; part < c.PartsPerRelation; part++ {
 		n := c.FileNode[c.FileOf(rel, part)]
 		if !seen[n] {
 			seen[n] = true
-			nodes = append(nodes, n) //ddbmlint:allow hotpath-alloc called once per relation; see above
+			nodes = append(nodes, n)
 		}
-		partsAt[n] = append(partsAt[n], part) //ddbmlint:allow hotpath-alloc called once per relation; see above
+		partsAt[n] = append(partsAt[n], part)
 	}
 	return nodes, partsAt
 }

@@ -10,7 +10,7 @@ import (
 // annotation is one parsed //ddbmlint: comment clause.
 type annotation struct {
 	line   int
-	check  string // canonical check name the annotation excuses, or "hotpath"
+	check  string // canonical name of the check the annotation excuses
 	reason string
 	used   bool
 }
@@ -83,17 +83,12 @@ func parseClause(body string, pos token.Position, rn *run, report bool) *annotat
 			}
 			return nil
 		}
-	case "hotpath":
-		// Marks the next function declaration as a statically
-		// allocation-free hot path; the reason is optional (the mark is a
-		// requirement, not an escape).
-		return &annotation{line: pos.Line, check: "hotpath", reason: strings.TrimSpace(rest)}
 	default:
 		if report {
 			rn.diags = append(rn.diags, Diagnostic{
 				Pos: pos, Check: "annotation",
 				Msg:  fmt.Sprintf("unknown ddbmlint annotation verb %q", verb),
-				Hint: "use //ddbmlint:ordered <why>, //ddbmlint:allow <check> <why>, or //ddbmlint:hotpath",
+				Hint: "use //ddbmlint:ordered <why> or //ddbmlint:allow <check> <why>",
 			})
 		}
 		return nil

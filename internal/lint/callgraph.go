@@ -6,33 +6,12 @@ import (
 	"go/types"
 )
 
-// callKind classifies how a call site's callees were resolved.
-type callKind int
-
-const (
-	// callStatic calls exactly one statically known function: a package
-	// function, a method on a concrete receiver, or an immediately
-	// invoked function literal.
-	callStatic callKind = iota
-	// callInterface dispatches through an interface method; candidates
-	// are every module method with the same name and signature.
-	callInterface
-	// callIndirect calls through a function value (variable, field,
-	// parameter, call result); candidates are every address-taken module
-	// function with the same signature.
-	callIndirect
-)
-
 // CallSite is one call expression inside a function body, with the
-// module-internal callee candidates it may reach. For calls that leave
-// the module (standard library), External carries the callee and Callees
-// is empty.
+// module-internal callee candidates it may reach. A call that leaves the
+// module (the standard library) has none.
 type CallSite struct {
-	Pos      token.Pos
-	Call     *ast.CallExpr
-	Kind     callKind
-	Callees  []*FuncNode
-	External *types.Func
+	Pos     token.Pos
+	Callees []*FuncNode
 }
 
 // FuncNode is one function in the module: a declared function or method,
@@ -49,7 +28,6 @@ type FuncNode struct {
 	Lit      *ast.FuncLit  // nil for declarations
 	Body     *ast.BlockStmt
 	Sig      *types.Signature
-	Hotpath  bool
 
 	Calls []*CallSite // source order
 
@@ -60,13 +38,6 @@ type FuncNode struct {
 	// directSite holds the position of the first construct that set each
 	// direct fact bit, for chain reporting.
 	directSite map[factSet]token.Pos
-
-	// Allocation state (alloc.go): definite allocation sites in this
-	// body and opaque call sites that cannot be verified.
-	allocs []allocSite
-	opaque []allocSite
-
-	params map[types.Object]bool // parameter objects, for append exemption
 }
 
 // CallGraph is the whole-module graph: every function in every loaded
@@ -113,7 +84,7 @@ func unparen(e ast.Expr) ast.Expr {
 // node order, edge order, and candidate order are all derived from
 // source order, so the graph (and everything computed from it) is
 // deterministic.
-func buildCallGraph(fset *token.FileSet, units []*Unit, rn *run) *CallGraph {
+func buildCallGraph(fset *token.FileSet, units []*Unit) *CallGraph {
 	g := &CallGraph{
 		Fset:         fset,
 		byPos:        map[token.Pos]*FuncNode{},
@@ -123,7 +94,7 @@ func buildCallGraph(fset *token.FileSet, units []*Unit, rn *run) *CallGraph {
 	// Pass 1: create a node for every function declaration and literal.
 	for _, u := range units {
 		for _, f := range u.Files {
-			g.addFileNodes(u, f, rn)
+			g.addFileNodes(u, f)
 		}
 	}
 	// Pass 2: resolve call sites and index dynamic-dispatch candidates.
@@ -146,8 +117,7 @@ func buildCallGraph(fset *token.FileSet, units []*Unit, rn *run) *CallGraph {
 
 // addFileNodes creates nodes for every function declaration in f and
 // every function literal nested inside, in source order.
-func (g *CallGraph) addFileNodes(u *Unit, f *ast.File, rn *run) {
-	fname := g.Fset.Position(f.Pos()).Filename
+func (g *CallGraph) addFileNodes(u *Unit, f *ast.File) {
 	isTest := u.Test[f]
 	for _, d := range f.Decls {
 		decl, ok := d.(*ast.FuncDecl)
@@ -163,13 +133,6 @@ func (g *CallGraph) addFileNodes(u *Unit, f *ast.File, rn *run) {
 			PkgPath: u.Path, Unit: u, File: f, TestFile: isTest,
 			Decl: decl, Body: decl.Body,
 			Sig: obj.Type().(*types.Signature),
-		}
-		n.params = paramObjects(u.Info, decl.Type)
-		// //ddbmlint:hotpath on the func line or stacked directly above
-		// pins this declaration as a statically allocation-free path.
-		if a := rn.annotationFor(fname, g.Fset.Position(decl.Pos()).Line, "hotpath"); a != nil {
-			a.used = true
-			n.Hotpath = true
 		}
 		g.Nodes = append(g.Nodes, n)
 		g.byPos[decl.Name.Pos()] = n
@@ -199,7 +162,6 @@ func (g *CallGraph) addLitNodes(u *Unit, f *ast.File, parent *FuncNode) {
 			Name:    parent.Name + ".func" + itoa(count),
 			PkgPath: u.Path, Unit: u, File: f, TestFile: parent.TestFile,
 			Lit: lit, Body: lit.Body, Sig: sig,
-			params: paramObjects(u.Info, lit.Type),
 		}
 		g.Nodes = append(g.Nodes, ln)
 		g.byPos[lit.Pos()] = ln
@@ -240,23 +202,6 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
-}
-
-// paramObjects collects the parameter (and receiver) objects of a
-// function type, the roots exempt from the append-allocation rule: an
-// append into a caller-owned buffer is the caller's growth to amortize.
-func paramObjects(info *types.Info, ft *ast.FuncType) map[types.Object]bool {
-	m := map[types.Object]bool{}
-	if ft.Params != nil {
-		for _, field := range ft.Params.List {
-			for _, name := range field.Names {
-				if obj := info.Defs[name]; obj != nil {
-					m[obj] = true
-				}
-			}
-		}
-	}
-	return m
 }
 
 // collectAddressTaken finds every declared function or literal whose
@@ -378,18 +323,18 @@ func (g *CallGraph) classifyCall(info *types.Info, call *ast.CallExpr) *CallSite
 	case *ast.FuncLit:
 		// Immediately invoked literal: a static edge to its node.
 		if node := g.byPos[f.Pos()]; node != nil {
-			return &CallSite{Pos: call.Pos(), Call: call, Kind: callStatic, Callees: []*FuncNode{node}}
+			return &CallSite{Pos: call.Pos(), Callees: []*FuncNode{node}}
 		}
 	}
 	return g.indirectSite(info, call)
 }
 
+// staticSite resolves a call of exactly one statically known function: a
+// package function or a method on a concrete receiver.
 func (g *CallGraph) staticSite(call *ast.CallExpr, fn *types.Func) *CallSite {
-	site := &CallSite{Pos: call.Pos(), Call: call, Kind: callStatic}
+	site := &CallSite{Pos: call.Pos()}
 	if node := g.byPos[fn.Pos()]; node != nil {
 		site.Callees = []*FuncNode{node}
-	} else {
-		site.External = fn
 	}
 	return site
 }
@@ -400,17 +345,14 @@ func (g *CallGraph) staticSite(call *ast.CallExpr, fn *types.Func) *CallSite {
 // see DESIGN.md §13 for why over-approximation is the right trade.
 func (g *CallGraph) interfaceSite(call *ast.CallExpr, fn *types.Func) *CallSite {
 	key := fn.Name() + "|" + sigKey(fn.Type().(*types.Signature))
-	return &CallSite{
-		Pos: call.Pos(), Call: call, Kind: callInterface,
-		Callees: g.methodsBySig[key], External: fn,
-	}
+	return &CallSite{Pos: call.Pos(), Callees: g.methodsBySig[key]}
 }
 
-// indirectSite over-approximates a call through a function value: every
-// non-test address-taken module function with the same signature is a
-// candidate.
+// indirectSite over-approximates a call through a function value
+// (variable, field, parameter, call result): every non-test address-taken
+// module function with the same signature is a candidate.
 func (g *CallGraph) indirectSite(info *types.Info, call *ast.CallExpr) *CallSite {
-	site := &CallSite{Pos: call.Pos(), Call: call, Kind: callIndirect}
+	site := &CallSite{Pos: call.Pos()}
 	if sig, ok := info.TypeOf(call.Fun).(*types.Signature); ok && sig != nil {
 		site.Callees = g.takenBySig[sigKey(sig)]
 	}

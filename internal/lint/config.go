@@ -86,24 +86,13 @@ func (c Config) policy(check string) Policy {
 //     the base checks: a call from simulation code into an exempt-scope
 //     helper that (transitively) reads the host clock or the global
 //     rand source is a finding at the boundary call site.
-//   - hotpath-alloc: //ddbmlint:hotpath functions everywhere (tests
-//     exempt) must be statically allocation-free transitively — the
-//     static twin of TestSteadyStateAllocFree's runtime pins. The
-//     breakdown accounting rides this audit end to end: the obs.Ledger
-//     spend/fold methods, the per-commit stats.LogHist.Add recording and
-//     the cc abort-cause attribution are all hotpath-annotated, and
-//     internal/stats sits inside the no-wall-clock scope like the rest
-//     of the simulation (the cmd/... allowlist does not cover it), so
-//     the histogram layer can neither allocate in steady state nor read
-//     host time.
 //
 // internal/fault and internal/recovery are deliberately absent from every
 // Skip list: the fault injector and the restart machinery are simulation
-// code in full scope, so the wall-clock ban, the global-rand ban (fault
-// schedules draw only from seeded substreams) and the hot-path allocation
-// audit all apply to them unreduced. The fixture packages
-// testdata/lint/internal/fault and .../recovery pin exactly that: each
-// check fires at those package paths.
+// code in full scope, so the wall-clock ban and the global-rand ban (fault
+// schedules draw only from seeded substreams) apply to them unreduced. The
+// fixture packages testdata/lint/internal/fault and .../recovery pin
+// exactly that: each check fires at those package paths.
 func DefaultConfig(module string) Config {
 	return NewConfig(
 		Policy{Check: "no-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
@@ -113,6 +102,5 @@ func DefaultConfig(module string) Config {
 		Policy{Check: "no-reflect-sort", SkipTests: true, Only: []string{module + "/internal"}},
 		Policy{Check: "taint-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
 		Policy{Check: "taint-rand", SkipTests: true, Skip: []string{module + "/cmd"}},
-		Policy{Check: "hotpath-alloc", SkipTests: true},
 	)
 }

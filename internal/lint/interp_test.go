@@ -10,7 +10,7 @@ import (
 
 // interpConfig scopes the interprocedural fixture tree the way the real
 // repo scopes cmd/: clockutil and randutil play the exempt harness
-// packages, so taint must be caught at the simcode/hot boundary.
+// packages, so taint must be caught at the simcode boundary.
 func interpConfig() Config {
 	pre := "ddbm/testdata/interp"
 	return NewConfig(
@@ -18,7 +18,6 @@ func interpConfig() Config {
 		Policy{Check: "no-global-rand", Skip: []string{pre + "/randutil"}},
 		Policy{Check: "taint-wall-clock", SkipTests: true, Skip: []string{pre + "/clockutil"}},
 		Policy{Check: "taint-rand", SkipTests: true, Skip: []string{pre + "/randutil"}},
-		Policy{Check: "hotpath-alloc", SkipTests: true},
 	)
 }
 
@@ -45,10 +44,10 @@ func interpTargets(t *testing.T, root string) []Target {
 	return targets
 }
 
-// TestInterprocFixtures runs the taint and hot-path checks over the
-// fixture module in testdata/interp, which spans an exempt clock helper,
-// an exempt rand helper, a simulation-scope caller, and a hot-path
-// package, and asserts the exact diagnostic set via // want comments.
+// TestInterprocFixtures runs the taint checks over the fixture module in
+// testdata/interp, which spans an exempt clock helper, an exempt rand
+// helper and a simulation-scope caller, and asserts the exact diagnostic
+// set via // want comments.
 // Every interprocedural check must fire somewhere in the tree.
 func TestInterprocFixtures(t *testing.T) {
 	root := findModuleRoot(t)

@@ -3,7 +3,9 @@
 // hoping a golden seed exercises them. The whole value of this
 // reproduction rests on bit-identical, seed-deterministic runs; golden
 // tests guard that property dynamically, this package guards it
-// statically.
+// statically. Allocation freedom is a performance property, not a
+// determinism one: the run-time allocation pins guard it, not this
+// package.
 //
 // Five intra-unit checks (see the check files for details):
 //
@@ -18,25 +20,19 @@
 // and the tracer no open-span handle (spans are recorded whole), so the
 // compiler rules out retaining either.
 //
-// Three interprocedural checks run over a whole-module call graph with
+// Two interprocedural checks run over a whole-module call graph with
 // per-function determinism summaries (see callgraph.go, summary.go):
 //
 //	taint-wall-clock    simulation code reaching a wall-clock read
 //	                    through helpers outside the base check's scope
 //	taint-rand          simulation code reaching the global rand source
 //	                    through helpers outside the base check's scope
-//	hotpath-alloc       //ddbmlint:hotpath functions must be statically
-//	                    allocation-free, transitively
 //
 // A finding can be suppressed with an annotation comment on the flagged
 // line or stacked comment lines directly above it:
 //
 //	//ddbmlint:ordered <why iteration order cannot matter>
 //	//ddbmlint:allow <check-name> <why this use is audited and safe>
-//
-// and a function is pinned as an allocation-free hot path with
-//
-//	//ddbmlint:hotpath [why this path is hot]
 //
 // Annotations must state their justification; an annotation with no
 // reason, for an unknown check, or that suppresses nothing is itself a
@@ -98,7 +94,6 @@ type ModuleCheck struct {
 var ModuleChecks = []ModuleCheck{
 	{Name: "taint-wall-clock", Doc: "wall-clock reads reached through out-of-scope helpers", Run: runTaintWallClock},
 	{Name: "taint-rand", Doc: "global rand draws reached through out-of-scope helpers", Run: runTaintRand},
-	{Name: "hotpath-alloc", Doc: "allocation sites reachable from //ddbmlint:hotpath functions", Run: runHotpathAlloc},
 }
 
 func checkNameValid(name string) bool {
@@ -251,7 +246,7 @@ func (r *Runner) Lint(targets []Target) ([]Diagnostic, error) {
 		r.lintUnit(u, rn)
 	}
 
-	graph := buildCallGraph(r.Loader.Fset, allUnits, rn)
+	graph := buildCallGraph(r.Loader.Fset, allUnits)
 	computeSummaries(graph)
 	for _, chk := range ModuleChecks {
 		mp := &ModulePass{Config: r.Config, Graph: graph, check: chk.Name, run: rn}
@@ -267,17 +262,11 @@ func (r *Runner) Lint(targets []Target) ([]Diagnostic, error) {
 				if a.used {
 					continue
 				}
-				msg := fmt.Sprintf("unused ddbmlint annotation for %q", a.check)
-				hint := "the annotated construct no longer triggers the check; delete the annotation"
-				if a.check == "hotpath" {
-					msg = "ddbmlint:hotpath annotation not attached to a function declaration"
-					hint = "place //ddbmlint:hotpath on the line directly above the func declaration it pins"
-				}
 				rn.diags = append(rn.diags, Diagnostic{
 					Pos:   token.Position{Filename: name, Line: a.line, Column: 1},
 					Check: "annotation",
-					Msg:   msg,
-					Hint:  hint,
+					Msg:   fmt.Sprintf("unused ddbmlint annotation for %q", a.check),
+					Hint:  "the annotated construct no longer triggers the check; delete the annotation",
 				})
 			}
 		}

@@ -140,8 +140,8 @@ func matchWants(t *testing.T, diags []Diagnostic, wants map[string][]string) {
 // suite so a bare `go test ./...` also guards the invariants. All package
 // directories go into one Lint call, exactly like `ddbmlint ./...`: the
 // interprocedural checks need the whole module in a single call graph
-// (a hot path rooted in internal/cc reaches allocation sites, and their
-// audited annotations, in internal/sim).
+// (simulation code in internal/core reaches helpers, and their audited
+// annotations, in other packages).
 func TestRepoLintClean(t *testing.T) {
 	root := findModuleRoot(t)
 	loader, err := NewLoader(root)

@@ -18,25 +18,18 @@ type factSet uint8
 const (
 	factWallClock factSet = 1 << iota // reads or waits on the host clock
 	factRand                          // draws from the global math/rand source
-	factMapOrder                      // ranges a map order-sensitively
-	factGoroutine                     // spawns a goroutine
-	factAlloc                         // contains a definite allocation site
 )
 
 func (f factSet) has(b factSet) bool { return f&b != 0 }
 
-// computeSummaries extracts every node's direct facts and allocation
-// sites, then propagates facts from callees to callers until nothing
-// changes. Nodes are visited in index order (source order) and the
-// transfer function is monotone over a finite lattice, so the result is
-// a deterministic least fixpoint regardless of how many sweeps it takes.
+// computeSummaries extracts every node's direct facts, then propagates
+// facts from callees to callers until nothing changes. Nodes are visited
+// in index order (source order) and the transfer function is monotone
+// over a finite lattice, so the result is a deterministic least fixpoint
+// regardless of how many sweeps it takes.
 func computeSummaries(g *CallGraph) {
 	for _, n := range g.Nodes {
 		extractDirect(n)
-		extractAllocs(g, n)
-		if len(n.allocs) > 0 {
-			n.direct |= factAlloc
-		}
 		n.facts = n.direct
 	}
 	for changed := true; changed; {
@@ -67,23 +60,15 @@ func extractDirect(n *FuncNode) {
 		}
 	}
 	walkOwnBody(n, func(x ast.Node) {
-		switch x := x.(type) {
-		case *ast.SelectorExpr:
-			if fn := wallClockRef(info, x); fn != nil {
-				set(factWallClock, x.Pos())
-			}
-			if fn := globalRandRef(info, x); fn != nil {
-				set(factRand, x.Pos())
-			}
-		case *ast.GoStmt:
-			set(factGoroutine, x.Pos())
-		default:
-			list := stmtList(x)
-			for i := range list {
-				if rs, bad := sensitiveMapRange(info, list, i); bad {
-					set(factMapOrder, rs.For)
-				}
-			}
+		sel, ok := x.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		if fn := wallClockRef(info, sel); fn != nil {
+			set(factWallClock, sel.Pos())
+		}
+		if fn := globalRandRef(info, sel); fn != nil {
+			set(factRand, sel.Pos())
 		}
 	})
 }

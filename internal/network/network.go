@@ -101,8 +101,6 @@ func (n *Network) Reserve(msgs int) {
 
 // alloc takes a recycled envelope from the free-list or makes a fresh one
 // with its dispatch steps pre-bound.
-//
-//ddbmlint:hotpath envelope acquisition on every send
 func (n *Network) alloc() *envelope {
 	if k := len(n.free); k > 0 {
 		e := n.free[k-1]
@@ -110,7 +108,7 @@ func (n *Network) alloc() *envelope {
 		n.free = n.free[:k-1]
 		return e
 	}
-	e := &envelope{n: n} //ddbmlint:allow hotpath-alloc pool growth: one envelope per high-water in-flight message
+	e := &envelope{n: n}
 	e.senderFn = e.senderStep
 	e.deliverFn = e.deliver
 	return e
@@ -123,8 +121,6 @@ func (n *Network) alloc() *envelope {
 // delivery still goes through the event queue so ordering stays causal.
 // A nil handler is a pure-load message (e.g. commit acks): both ends pay
 // the CPU cost and nothing runs at the destination.
-//
-//ddbmlint:hotpath every transaction message; pinned by TestTxnPathAllocFree
 func (n *Network) Send(from, to int, h Handler, tag int) {
 	e := n.alloc()
 	e.h, e.tag, e.from, e.to = h, tag, from, to
@@ -143,8 +139,6 @@ func (n *Network) SendFunc(from, to int, deliver func()) {
 // post routes a filled envelope: self-sends skip cost and accounting,
 // everything else pays the two CPU message steps when messages have a
 // cost.
-//
-//ddbmlint:hotpath shared routing path for every send
 func (n *Network) post(e *envelope) {
 	if e.from == e.to {
 		n.sim.After(0, e.deliverFn)
@@ -177,18 +171,18 @@ func (n *Network) faultStep(e *envelope) bool {
 		// Control (closure) messages are exempt from loss and never pay a
 		// down node's CPU: crash-clearing that CPU's queues must not be
 		// able to swallow an out-of-band service's request or reply.
-		if ft.Down(e.from) || ft.Down(e.to) { //ddbmlint:allow hotpath-alloc fault-model dispatch; reached only with a non-nil model, off the pinned fault-free path
+		if ft.Down(e.from) || ft.Down(e.to) {
 			n.sent++
 			n.sim.After(0, e.deliverFn)
 			return true
 		}
 		return false
 	}
-	if ft.Down(e.from) || ft.Down(e.to) { //ddbmlint:allow hotpath-alloc fault-model dispatch; reached only with a non-nil model, off the pinned fault-free path
+	if ft.Down(e.from) || ft.Down(e.to) {
 		n.drop(e)
 		return true
 	}
-	if ft.LoseMsg() { //ddbmlint:allow hotpath-alloc fault-model dispatch; reached only with a non-nil model, off the pinned fault-free path
+	if ft.LoseMsg() {
 		// The sender's timeout-and-retransmit, abstracted: the message
 		// re-enters the full send pipeline (both CPU ends re-paid) after
 		// the retransmission delay.
@@ -196,10 +190,10 @@ func (n *Network) faultStep(e *envelope) bool {
 		if e.repostFn == nil {
 			e.repostFn = e.repost
 		}
-		n.sim.After(ft.RetransmitDelayMs(), e.repostFn) //ddbmlint:allow hotpath-alloc fault-model dispatch; reached only with a non-nil model, off the pinned fault-free path
+		n.sim.After(ft.RetransmitDelayMs(), e.repostFn)
 		return true
 	}
-	if ft.DupMsg() { //ddbmlint:allow hotpath-alloc fault-model dispatch; reached only with a non-nil model, off the pinned fault-free path
+	if ft.DupMsg() {
 		// A duplicate shows up as pure load: both ends pay the message
 		// CPU cost but nothing runs at the destination, so protocol state
 		// sees each logical message exactly once.
@@ -230,16 +224,14 @@ func (n *Network) drop(e *envelope) {
 	n.lost++
 	h, tag := e.h, e.tag
 	e.h, e.fn = nil, nil
-	n.free = append(n.free, e) //ddbmlint:allow hotpath-alloc free-list growth; drop runs only with a non-nil fault model, off the pinned fault-free path
+	n.free = append(n.free, e)
 	if dh, ok := h.(DropHandler); ok {
-		dh.MsgDropped(tag) //ddbmlint:allow hotpath-alloc drop-handler dispatch; reached only with a non-nil fault model, off the pinned fault-free path
+		dh.MsgDropped(tag)
 	}
 }
 
 // senderStep runs when the sender's CPU finishes its message-protocol
 // work: the receiving end then pays its own cost before delivery.
-//
-//ddbmlint:hotpath sender-side CPU completion on every costed send
 func (e *envelope) senderStep() {
 	n := e.n
 	n.cpus[e.to].UseMsg(n.instPerMsg, e.deliverFn)
@@ -248,12 +240,10 @@ func (e *envelope) senderStep() {
 // deliver records the transit span, recycles the envelope, and hands the
 // message to its receiver. The envelope is recycled before the receiver
 // runs so a handler that immediately sends again reuses it.
-//
-//ddbmlint:hotpath destination dispatch on every send
 func (e *envelope) deliver() {
 	n := e.n
 	if n.ft != nil && e.fn == nil && e.h != nil && e.from != e.to &&
-		(n.ft.Down(e.from) || n.ft.Down(e.to)) { //ddbmlint:allow hotpath-alloc fault-model dispatch; reached only with a non-nil model, off the pinned fault-free path
+		(n.ft.Down(e.from) || n.ft.Down(e.to)) {
 		// A crash between send and delivery (the zero-cost After(0) path,
 		// or a completion racing the crash event at one instant): the
 		// message dies with the node.
@@ -268,12 +258,12 @@ func (e *envelope) deliver() {
 	}
 	h, tag, fn := e.h, e.tag, e.fn
 	e.h, e.fn = nil, nil
-	n.free = append(n.free, e) //ddbmlint:allow hotpath-alloc free-list push; capacity reaches the in-flight high-water mark
+	n.free = append(n.free, e)
 	switch {
 	case h != nil:
-		h.HandleMsg(tag) //ddbmlint:allow hotpath-alloc receiver dispatch; handlers are the free-listed attempt/cohort objects, audited by their own hotpath pins
+		h.HandleMsg(tag)
 	case fn != nil:
-		fn() //ddbmlint:allow hotpath-alloc legacy SendFunc payload; cold control path
+		fn()
 	}
 }
 

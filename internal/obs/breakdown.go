@@ -97,8 +97,6 @@ type Ledger struct {
 }
 
 // StartAt zeroes the ledger and places the cursor at now.
-//
-//ddbmlint:hotpath breakdown ledger reset on the transaction path
 func (l *Ledger) StartAt(now sim.Time) {
 	if l == nil {
 		return
@@ -107,8 +105,6 @@ func (l *Ledger) StartAt(now sim.Time) {
 }
 
 // Spend attributes the interval since the cursor to phase p.
-//
-//ddbmlint:hotpath breakdown attribution on the transaction path
 func (l *Ledger) Spend(now sim.Time, p Phase) {
 	if l == nil {
 		return
@@ -121,8 +117,6 @@ func (l *Ledger) Spend(now sim.Time, p Phase) {
 // (up to svc, the pure service demand) and a queueing phase (the excess).
 // svc is clamped to the elapsed interval so float drift cannot drive the
 // queue share negative.
-//
-//ddbmlint:hotpath breakdown service/queue split on the transaction path
 func (l *Ledger) SpendSplit(now sim.Time, svc float64, service, queue Phase) {
 	if l == nil {
 		return
@@ -146,8 +140,6 @@ func (l *Ledger) SpendSplit(now sim.Time, svc float64, service, queue Phase) {
 // tiles the interval exactly (the critical cohort of an attempt), the
 // residue contribution is zero. A nil from sweeps the whole interval
 // into the residue phase.
-//
-//ddbmlint:hotpath breakdown cohort fold on the transaction path
 func (l *Ledger) Fold(now sim.Time, from *Ledger, residue Phase) {
 	if l == nil {
 		return

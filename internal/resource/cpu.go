@@ -25,15 +25,13 @@ type cpuJob struct {
 }
 
 // finish delivers the job's completion to its owner.
-//
-//ddbmlint:hotpath job completion on the steady-state transaction path
 func (j *cpuJob) finish() {
 	if j.k != nil {
 		j.k.Resume()
 		return
 	}
 	if j.done != nil {
-		j.done() //ddbmlint:allow hotpath-alloc completion callbacks are pre-bound by their owners (envelope/attempt free-lists)
+		j.done()
 	}
 }
 
@@ -144,8 +142,6 @@ func (c *CPU) noteArrival() {
 // must wait: k is then resumed when the work completes. Zero or negative
 // cost reports false and the process continues inline (the paper sets
 // several overheads to zero).
-//
-//ddbmlint:hotpath cohort work phase pinned by TestTxnPathAllocFree
 func (c *CPU) Use(k *sim.Cont, inst float64) bool {
 	if inst <= 0 {
 		return false
@@ -157,12 +153,10 @@ func (c *CPU) Use(k *sim.Cont, inst float64) bool {
 // UseAsync submits processor-sharing work and invokes done on completion
 // without blocking the caller. A zero cost invokes done immediately.
 // done must be pre-bound by the caller if the call site is hot.
-//
-//ddbmlint:hotpath async CPU work on the transaction path (write-back, cohort startup)
 func (c *CPU) UseAsync(inst float64, done func()) {
 	if inst <= 0 {
 		if done != nil {
-			done() //ddbmlint:allow hotpath-alloc completion callbacks are pre-bound by their owners
+			done()
 		}
 		return
 	}
@@ -172,27 +166,23 @@ func (c *CPU) UseAsync(inst float64, done func()) {
 // UseMsg submits message-processing work: FIFO order, one at a time, at a
 // priority that preempts all processor-sharing work. done runs on
 // completion; a zero cost invokes it immediately.
-//
-//ddbmlint:hotpath network message service pinned by TestTxnPathAllocFree
 func (c *CPU) UseMsg(inst float64, done func()) {
 	if inst <= 0 {
 		if done != nil {
-			done() //ddbmlint:allow hotpath-alloc completion callbacks are pre-bound by their owners
+			done()
 		}
 		return
 	}
 	c.submitMsg(cpuJob{remaining: inst, done: done})
 }
 
-//ddbmlint:hotpath shared PS submission path
 func (c *CPU) submitPS(j cpuJob) {
 	c.advance()
-	c.ps = append(c.ps, j) //ddbmlint:allow hotpath-alloc PS queue growth to its high-water capacity
+	c.ps = append(c.ps, j)
 	c.noteArrival()
 	c.reschedule()
 }
 
-//ddbmlint:hotpath shared message submission path
 func (c *CPU) submitMsg(j cpuJob) {
 	c.advance()
 	if c.msgLen == len(c.msgs) {
@@ -211,7 +201,7 @@ func (c *CPU) growMsgs() {
 	if newCap == 0 {
 		newCap = 8
 	}
-	buf := make([]cpuJob, newCap) //ddbmlint:allow hotpath-alloc message ring growth to its high-water capacity
+	buf := make([]cpuJob, newCap)
 	for i := 0; i < c.msgLen; i++ {
 		buf[i] = c.msgs[(c.msgHead+i)&(len(c.msgs)-1)]
 	}
@@ -221,8 +211,6 @@ func (c *CPU) growMsgs() {
 
 // advance charges elapsed time since the last state change to the active
 // jobs: the head message exclusively, or the PS jobs in equal shares.
-//
-//ddbmlint:hotpath service accounting on every CPU state change
 func (c *CPU) advance() {
 	now := c.sim.Now()
 	dt := now - c.lastT
@@ -246,8 +234,6 @@ func (c *CPU) advance() {
 
 // reschedule moves the next completion to the earliest job's finish
 // time; an idle CPU has none.
-//
-//ddbmlint:hotpath completion scheduling on every CPU state change
 func (c *CPU) reschedule() {
 	var dt float64
 	switch {
@@ -272,8 +258,6 @@ func (c *CPU) reschedule() {
 // are copied into the reused scratch buffer so their callbacks run after
 // the next completion is in place, exactly as before the queues became
 // allocation-free.
-//
-//ddbmlint:hotpath CPU completion dispatch pinned by TestTxnPathAllocFree
 func (c *CPU) complete() {
 	c.advance()
 	fin := c.finScratch[:0]
@@ -281,7 +265,7 @@ func (c *CPU) complete() {
 		// Messages complete strictly one at a time.
 		head := &c.msgs[c.msgHead]
 		if head.remaining <= instEpsilon {
-			fin = append(fin, *head) //ddbmlint:allow hotpath-alloc finish-scratch growth to the per-tick completion high-water mark
+			fin = append(fin, *head)
 			*head = cpuJob{}
 			c.msgHead = (c.msgHead + 1) & (len(c.msgs) - 1)
 			c.msgLen--
@@ -290,9 +274,9 @@ func (c *CPU) complete() {
 		kept := c.ps[:0]
 		for i := range c.ps {
 			if c.ps[i].remaining <= instEpsilon {
-				fin = append(fin, c.ps[i]) //ddbmlint:allow hotpath-alloc finish-scratch growth to the per-tick completion high-water mark
+				fin = append(fin, c.ps[i])
 			} else {
-				kept = append(kept, c.ps[i]) //ddbmlint:allow hotpath-alloc in-place keep: reslice of ps never exceeds its own capacity
+				kept = append(kept, c.ps[i])
 			}
 		}
 		for i := len(kept); i < len(c.ps); i++ {

@@ -27,7 +27,6 @@ type reqQueue struct {
 	count int
 }
 
-//ddbmlint:hotpath disk queue push on the transaction path
 func (q *reqQueue) push(r diskReq) {
 	if q.count == len(q.buf) {
 		q.grow()
@@ -36,7 +35,6 @@ func (q *reqQueue) push(r diskReq) {
 	q.count++
 }
 
-//ddbmlint:hotpath disk queue pop on the transaction path
 func (q *reqQueue) pop() diskReq {
 	r := q.buf[q.head]
 	q.buf[q.head] = diskReq{}
@@ -70,7 +68,7 @@ func (q *reqQueue) grow() {
 	if newCap == 0 {
 		newCap = 8
 	}
-	buf := make([]diskReq, newCap) //ddbmlint:allow hotpath-alloc request ring growth to its high-water capacity
+	buf := make([]diskReq, newCap)
 	for i := 0; i < q.count; i++ {
 		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
 	}
@@ -164,16 +162,12 @@ func (d *DiskArray) SetTrace(t *obs.Tracer, node int) {
 // time at completion (the elapsed time minus *svc is the queueing
 // delay); it draws no randomness and schedules nothing, so runs are
 // bit-identical either way.
-//
-//ddbmlint:hotpath cohort page reads pinned by TestTxnPathAllocFree
 func (d *DiskArray) Read(k *sim.Cont, svc *float64) {
 	d.submit(diskReq{write: false, k: k, svc: svc})
 }
 
 // WriteAsync queues an asynchronous page write (post-commit write-back);
 // writes take priority over reads at dequeue time.
-//
-//ddbmlint:hotpath post-commit write-back pinned by TestTxnPathAllocFree
 func (d *DiskArray) WriteAsync(done func()) {
 	d.submit(diskReq{write: true, done: done})
 }
@@ -181,13 +175,10 @@ func (d *DiskArray) WriteAsync(done func()) {
 // Write performs a synchronous (forced) page write for the process whose
 // continuation is k, resuming k when the disk completes it — used for
 // forcing log records.
-//
-//ddbmlint:hotpath log forces on the commit path
 func (d *DiskArray) Write(k *sim.Cont) {
 	d.submit(diskReq{write: true, k: k})
 }
 
-//ddbmlint:hotpath shared submission path
 func (d *DiskArray) submit(req diskReq) {
 	dk := d.disks[d.sim.Rand().Intn(len(d.disks))]
 	if req.write {
@@ -200,7 +191,6 @@ func (d *DiskArray) submit(req diskReq) {
 	}
 }
 
-//ddbmlint:hotpath disk service loop pinned by TestTxnPathAllocFree
 func (d *DiskArray) serve(dk *disk) {
 	var req diskReq
 	switch {
@@ -223,8 +213,6 @@ func (d *DiskArray) serve(dk *disk) {
 // complete finishes the in-service request: trace, busy accounting, owner
 // notification, then serve the next queued request — in exactly the order
 // the old per-access closure used.
-//
-//ddbmlint:hotpath disk completion dispatch pinned by TestTxnPathAllocFree
 func (dk *disk) complete() {
 	d := dk.arr
 	if dk.lost {
@@ -248,7 +236,7 @@ func (dk *disk) complete() {
 	if req.k != nil {
 		req.k.Resume()
 	} else if req.done != nil {
-		req.done() //ddbmlint:allow hotpath-alloc completion callbacks are pre-bound by their owners
+		req.done()
 	}
 	d.serve(dk)
 }

@@ -43,7 +43,7 @@ func SampleWithoutReplacementInto(r *rand.Rand, n, k int, scratch []int) []int {
 		k = n
 	}
 	if cap(scratch) < n {
-		scratch = make([]int, n) //ddbmlint:allow hotpath-alloc scratch growth to the population size; hot callers pass a reused buffer
+		scratch = make([]int, n)
 	} else {
 		scratch = scratch[:n]
 	}

@@ -32,7 +32,7 @@ func (q *eventQueue) min() *event { return q.items[0] }
 
 // push inserts e and records its heap index for O(log n) removal.
 func (q *eventQueue) push(e *event) {
-	q.items = append(q.items, e) //ddbmlint:allow hotpath-alloc event-heap backing array grows to its high-water mark
+	q.items = append(q.items, e)
 	q.siftUp(len(q.items) - 1)
 }
 

@@ -38,7 +38,7 @@ func (m *Mailbox) grow() {
 	if newCap == 0 {
 		newCap = 8
 	}
-	buf := make([]any, newCap) //ddbmlint:allow hotpath-alloc ring growth to the backlog high-water mark
+	buf := make([]any, newCap)
 	for i := 0; i < m.count; i++ {
 		buf[i] = m.buf[(m.head+i)&(len(m.buf)-1)]
 	}

@@ -239,7 +239,8 @@ type refEvent struct {
 
 // refQueue is the reference: a slice sorted by (time, seq) before every
 // dispatch. Cancel and Stop delete the handle's entry; Set is Stop then a
-// fresh entry, as Delay makes one.
+// fresh entry, as Delay makes one. Run ends by dropping the continuations'
+// entries; callbacks and timer firings stay for the next Run.
 type refQueue struct {
 	d      *diffDriver
 	clock  Time
@@ -316,7 +317,7 @@ func (q *refQueue) run(end Time) {
 	}
 	kept := q.events[:0]
 	for _, e := range q.events {
-		if e.cont < 0 {
+		if e.cont < 0 || e.cont >= diffConts {
 			kept = append(kept, e)
 		}
 	}

@@ -50,6 +50,9 @@ type event struct {
 	// owned marks a continuation's embedded resume event: it belongs to
 	// its Cont and never passes through the free-list.
 	owned bool
+	// timer marks a Timer's firing, which the end-of-run sweep leaves
+	// queued.
+	timer bool
 }
 
 // notQueued is the index of an event that is neither on the heap nor in
@@ -137,7 +140,7 @@ func (s *Sim) allocEvent() *event {
 		s.free = s.free[:n-1]
 		return e
 	}
-	return &event{index: notQueued} //ddbmlint:allow hotpath-alloc event pool growth to the in-flight high-water mark
+	return &event{index: notQueued}
 }
 
 // releaseEvent returns a fired callback event to the free-list.
@@ -155,7 +158,7 @@ func (s *Sim) releaseEvent(e *event) {
 // event dispatch order a pure function of the call sequence.
 func (s *Sim) enqueue(e *event, at Time) {
 	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now)) //ddbmlint:allow hotpath-alloc kernel-bug panic path; the run is already dead
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, s.now))
 	}
 	s.seq++
 	e.at = at
@@ -170,7 +173,7 @@ func (s *Sim) enqueue(e *event, at Time) {
 // pushLane appends e to the current instant's lane.
 func (s *Sim) pushLane(e *event) {
 	e.index = laneSlot(len(s.lane))
-	s.lane = append(s.lane, e) //ddbmlint:allow hotpath-alloc the lane grows to the most events one instant queues
+	s.lane = append(s.lane, e)
 }
 
 // popLane removes and returns the oldest live lane entry, or nil when the
@@ -279,9 +282,11 @@ func (s *Sim) Run(end Time) Time {
 }
 
 // endProcesses ends every process still waiting when Run returns: pending
-// continuation resumptions leave the queue, armed timers are disarmed and
-// goroutine processes are dismissed, so nothing a process holds outlives
-// the run. Callback events stay queued.
+// continuation resumptions leave the queue and goroutine processes are
+// dismissed, so nothing a process holds outlives the run. Callback events
+// and timer firings stay queued, armed in the tree or due now in the lane,
+// so a later Run completes the CPU jobs and disk accesses that were in
+// service when this one returned.
 func (s *Sim) endProcesses() {
 	var pending []*event
 	for _, e := range s.events.items {
@@ -290,15 +295,12 @@ func (s *Sim) endProcesses() {
 		}
 	}
 	for _, e := range s.lane[s.laneHead:] {
-		if e != nil && e.owned {
+		if e != nil && e.owned && !e.timer {
 			pending = append(pending, e)
 		}
 	}
 	for _, e := range pending {
 		s.dequeue(e)
-	}
-	for slot := range s.timers.n {
-		s.timers.disarm(slot)
 	}
 	for i, p := range s.procs {
 		if !p.done {

@@ -16,8 +16,8 @@ import (
 // A timer keeps the (time, seq) order of every other event. Set draws
 // exactly one seq, as After and Cont.Delay do, and a target of now goes
 // through the same-instant lane. A firing timer is disarmed before its
-// step runs, so the step may Set it again; Run's end-of-run sweep disarms
-// every timer still pending.
+// step runs, so the step may Set it again. A pending firing outlives the
+// Run that armed it, and the next Run fires it.
 type Timer struct {
 	// ev is the firing: fn is the step. It is queued only in the lane;
 	// while the timer is armed in the tree, its key is in the slot's leaf.
@@ -30,7 +30,7 @@ type Timer struct {
 // it fires, and registers its slot. Call it once per timer, at set-up.
 func (t *Timer) Init(s *Sim, step func()) {
 	t.sim = s
-	t.ev = event{fn: step, index: notQueued, owned: true}
+	t.ev = event{fn: step, index: notQueued, owned: true, timer: true}
 	t.slot = s.timers.register(&t.ev)
 }
 

@@ -24,8 +24,6 @@ type LogHist struct {
 }
 
 // bucketOf maps a value to its bucket index.
-//
-//ddbmlint:hotpath histogram bucketing on the per-commit recording path
 func bucketOf(v float64) int {
 	if v <= 0 || math.IsNaN(v) {
 		return 0
@@ -44,8 +42,6 @@ func bucketOf(v float64) int {
 }
 
 // Add records one value.
-//
-//ddbmlint:hotpath per-commit phase recording pinned by TestTxnPathAllocFree
 func (h *LogHist) Add(v float64) {
 	h.count++
 	h.sum += v

@@ -380,8 +380,6 @@ func (g *Generator) Reserve(plans int) {
 // free-list: the returned plan starts with one reference and is recycled
 // when Release drops the count to zero. It consumes exactly the same
 // randomness as NewClassPlan.
-//
-//ddbmlint:hotpath per-transaction plan construction pinned by TestTxnPathAllocFree
 func (g *Generator) AcquireClassPlan(r *rand.Rand, rel int, class Class) *TxnPlan {
 	var p *TxnPlan
 	if n := len(g.free); n > 0 {
@@ -389,7 +387,7 @@ func (g *Generator) AcquireClassPlan(r *rand.Rand, rel int, class Class) *TxnPla
 		g.free[n-1] = nil
 		g.free = g.free[:n-1]
 	} else {
-		p = &TxnPlan{} //ddbmlint:allow hotpath-alloc pool growth: one plan per high-water live transaction
+		p = &TxnPlan{}
 	}
 	p.refs = 1
 	g.build(r, rel, class, p)
@@ -398,21 +396,17 @@ func (g *Generator) AcquireClassPlan(r *rand.Rand, rel int, class Class) *TxnPla
 
 // Retain adds a reference to a pooled plan (a restarted attempt keeps the
 // plan alive across its in-flight messages).
-//
-//ddbmlint:hotpath plan refcounting on the transaction path
 func (g *Generator) Retain(p *TxnPlan) { p.refs++ }
 
 // Release drops a reference to a pooled plan, recycling it when the last
 // reference goes away.
-//
-//ddbmlint:hotpath plan refcounting on the transaction path
 func (g *Generator) Release(p *TxnPlan) {
 	p.refs--
 	if p.refs < 0 {
 		panic("workload: plan released more often than retained")
 	}
 	if p.refs == 0 {
-		g.free = append(g.free, p) //ddbmlint:allow hotpath-alloc free-list push; capacity reaches the live-plan high-water mark
+		g.free = append(g.free, p)
 	}
 }
 
@@ -421,8 +415,6 @@ func (g *Generator) Release(p *TxnPlan) {
 // (partition filter, then per-partition page count, page sample, and
 // per-page write/instruction draws), so pooled and value-API plans are
 // interchangeable under a seed.
-//
-//ddbmlint:hotpath plan construction body pinned by TestTxnPathAllocFree
 func (g *Generator) build(r *rand.Rand, rel int, class Class, p *TxnPlan) {
 	nodes, parts := g.resolveRelation(rel)
 	// Restrict to FileCount randomly chosen partitions if the class asks.
@@ -455,12 +447,12 @@ func (g *Generator) build(r *rand.Rand, rel int, class Class, p *TxnPlan) {
 					a.WriteInst = sim.Exponential(r, class.InstPerPage)
 					if replicated {
 						for _, rn := range g.Catalog.Replicas(file)[1:] {
-							g.remote = append(g.remote, Access{Page: a.Page, Write: true, Remote: true}) //ddbmlint:allow hotpath-alloc remote-write scratch grows to its high-water mark
-							g.remoteAt = append(g.remoteAt, rn)                                          //ddbmlint:allow hotpath-alloc remote-write scratch grows to its high-water mark
+							g.remote = append(g.remote, Access{Page: a.Page, Write: true, Remote: true})
+							g.remoteAt = append(g.remoteAt, rn)
 						}
 					}
 				}
-				cp.Accesses = append(cp.Accesses, a) //ddbmlint:allow hotpath-alloc access storage grows to its high-water mark and survives plan recycling
+				cp.Accesses = append(cp.Accesses, a)
 			}
 		}
 	}
@@ -471,15 +463,13 @@ func (g *Generator) build(r *rand.Rand, rel int, class Class, p *TxnPlan) {
 		if idx < 0 {
 			idx = appendCohort(p, node)
 		}
-		p.Cohorts[idx].Accesses = append(p.Cohorts[idx].Accesses, g.remote[i]) //ddbmlint:allow hotpath-alloc access storage grows to its high-water mark and survives plan recycling
+		p.Cohorts[idx].Accesses = append(p.Cohorts[idx].Accesses, g.remote[i])
 	}
 }
 
 // appendCohort adds a cohort for node to the plan, reslicing into the
 // plan's existing storage when it has capacity so a recycled element keeps
 // its Accesses backing array.
-//
-//ddbmlint:hotpath cohort slot reuse during plan construction
 func appendCohort(p *TxnPlan, node int) int {
 	n := len(p.Cohorts)
 	if n < cap(p.Cohorts) {
@@ -487,15 +477,13 @@ func appendCohort(p *TxnPlan, node int) int {
 		p.Cohorts[n].Node = node
 		p.Cohorts[n].Accesses = p.Cohorts[n].Accesses[:0]
 	} else {
-		p.Cohorts = append(p.Cohorts, CohortPlan{Node: node}) //ddbmlint:allow hotpath-alloc cohort storage grows to its high-water mark
+		p.Cohorts = append(p.Cohorts, CohortPlan{Node: node})
 	}
 	return n
 }
 
 // cohortIndex finds the plan's cohort at node, -1 if none. Plans span a
 // handful of nodes, so a linear scan beats a map — and allocates nothing.
-//
-//ddbmlint:hotpath cohort lookup during plan construction
 func cohortIndex(p *TxnPlan, node int) int {
 	for i := range p.Cohorts {
 		if p.Cohorts[i].Node == node {
@@ -508,16 +496,14 @@ func cohortIndex(p *TxnPlan, node int) int {
 // resolveRelation returns the nodes storing relation rel and, aligned with
 // them, the partitions each holds. The catalog is immutable, so the result
 // is computed once per relation and cached.
-//
-//ddbmlint:hotpath per-transaction placement lookup
 func (g *Generator) resolveRelation(rel int) ([]int, [][]int) {
 	for len(g.relNodes) <= rel {
-		g.relNodes = append(g.relNodes, nil) //ddbmlint:allow hotpath-alloc cache growth: once per relation
-		g.relParts = append(g.relParts, nil) //ddbmlint:allow hotpath-alloc cache growth: once per relation
+		g.relNodes = append(g.relNodes, nil)
+		g.relParts = append(g.relParts, nil)
 	}
 	if g.relNodes[rel] == nil {
 		nodes, partsAt := g.Catalog.RelationNodes(rel)
-		parts := make([][]int, len(nodes)) //ddbmlint:allow hotpath-alloc cache fill: once per relation
+		parts := make([][]int, len(nodes))
 		for i, n := range nodes {
 			parts[i] = partsAt[n]
 		}
@@ -530,12 +516,10 @@ func (g *Generator) resolveRelation(rel int) ([]int, [][]int) {
 // partitions, staging the filtered view in the generator's reusable
 // buffers. It draws exactly the randomness the pre-pooling implementation
 // drew: one sample of fileCount partitions.
-//
-//ddbmlint:hotpath FileCount partition filter on the transaction path
 func (g *Generator) filterParts(r *rand.Rand, nodes []int, parts [][]int, fileCount int) ([]int, [][]int) {
 	total := g.Catalog.PartsPerRelation
 	if cap(g.chosen) < total {
-		g.chosen = make([]bool, total) //ddbmlint:allow hotpath-alloc scratch growth to the partition count
+		g.chosen = make([]bool, total)
 	}
 	g.chosen = g.chosen[:total]
 	sample := sim.SampleWithoutReplacementInto(r, total, fileCount, g.partSample)
@@ -547,12 +531,12 @@ func (g *Generator) filterParts(r *rand.Rand, nodes []int, parts [][]int, fileCo
 		start := len(g.fFlat)
 		for _, part := range parts[i] {
 			if g.chosen[part] {
-				g.fFlat = append(g.fFlat, part) //ddbmlint:allow hotpath-alloc filter scratch grows to its high-water mark
+				g.fFlat = append(g.fFlat, part)
 			}
 		}
 		if len(g.fFlat) > start {
-			g.fNodes = append(g.fNodes, node)                        //ddbmlint:allow hotpath-alloc filter scratch grows to its high-water mark
-			g.fParts = append(g.fParts, g.fFlat[start:len(g.fFlat)]) //ddbmlint:allow hotpath-alloc filter scratch grows to its high-water mark
+			g.fNodes = append(g.fNodes, node)
+			g.fParts = append(g.fParts, g.fFlat[start:len(g.fFlat)])
 		}
 	}
 	for _, part := range sample {

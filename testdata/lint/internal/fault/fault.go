@@ -1,9 +1,7 @@
 // Package fault mirrors the repo's internal/fault package path through
 // the default scope table: the injector is simulation code, so the
-// wall-clock ban, the global-rand ban and the hot-path allocation audit
-// all apply in full — fault schedules must come from the seeded
-// substreams on simulated time, and the armed-injector seams that ride
-// the transaction path must not allocate.
+// wall-clock ban and the global-rand ban apply in full — fault schedules
+// must come from the seeded substreams on simulated time.
 package fault
 
 import (
@@ -11,30 +9,12 @@ import (
 	"time"
 )
 
-// Injector is a shape-alike of the real injector for the checks to bite.
-type Injector struct {
-	down []bool
-}
-
 // scheduleBad draws fault timing from the host: both the clock read and
 // the global rand source are flagged — the real injector owns dedicated
 // *rand.Rand substreams and advances only on simulated time.
 func scheduleBad() float64 {
 	_ = time.Now()        // want "wall-clock time.Now"
 	return rand.Float64() // want "global math/rand"
-}
-
-// Down is consulted on every cross-node send, so it is hot-path audited:
-// the map allocation is a finding, the annotated append is not.
-//
-//ddbmlint:hotpath fixture per-send down check
-func (inj *Injector) Down(node int) bool {
-	seen := map[int]bool{} // want "hotpath-alloc"
-	seen[node] = true
-	if node >= len(inj.down) {
-		inj.down = append(inj.down, false) //ddbmlint:allow hotpath-alloc fixture cold growth branch
-	}
-	return inj.down[node]
 }
 
 var _ = scheduleBad
