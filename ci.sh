@@ -27,20 +27,17 @@ echo "== go vet ./..."
 go vet ./...
 
 echo "== ddbmlint (determinism invariants)"
-# The full check suite over the whole module, seven checks: the five
-# per-file checks (no-wall-clock, no-global-rand, map-order,
-# no-naked-goroutine, no-reflect-sort) plus the two interprocedural ones,
-# taint-wall-clock and taint-rand (exempt-scope helpers that transitively
-# read the host clock or the global rand source are findings at the
-# boundary call into simulation scope).
+# The full check suite over the whole module, four per-file checks:
+# no-wall-clock, no-global-rand, map-order and no-naked-goroutine.
 go run ./cmd/ddbmlint ./...
 
 echo "== ddbmlint fixture harness"
-# The // want-comment fixtures under testdata/lint and testdata/interp pin
-# the exact finding set of all seven checks — the five per-file checks
-# under testdata/lint, both taint checks under testdata/interp — plus
-# the output-determinism guarantee and the CLI's -json round-trip.
-go test -run 'TestFixtures|TestInterprocFixtures|TestLintDeterminism|TestLoaderFailures' ./internal/lint/
+# The // want-comment fixtures under testdata/lint pin the exact finding
+# set of all four checks, plus the output-determinism guarantee and the
+# CLI's -json round-trip. The premise test pins that every package exempt
+# from no-wall-clock or no-global-rand (cmd/...) is a main package, so no
+# simulation code can import a helper that escapes those checks.
+go test -run 'TestFixtures|TestExemptPackagesAreMain|TestLintDeterminism|TestLoaderFailures' ./internal/lint/
 go test -run 'TestRunJSONRoundTrip|TestRunExitCodes' ./cmd/ddbmlint/
 
 echo "== go build ./..."

@@ -1,10 +1,8 @@
 // Command ddbmlint statically enforces the simulator's determinism
-// invariants: no wall-clock time, no global math/rand, no order-sensitive
-// map iteration, no goroutines outside internal/sim, no reflection-based
-// sorting in library code — and, interprocedurally, no tainted helpers
-// reaching simulation code (taint-wall-clock, taint-rand). See
-// internal/lint and DESIGN.md ("Statically-enforced determinism
-// invariants", "Interprocedural analysis").
+// invariants with four per-file checks: no wall-clock time, no global
+// math/rand, no order-sensitive map iteration and no goroutines outside
+// internal/sim. See internal/lint and DESIGN.md ("Statically-enforced
+// determinism invariants").
 //
 // Usage:
 //

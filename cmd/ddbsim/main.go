@@ -24,7 +24,7 @@ import (
 func main() {
 	cfg := ddbm.DefaultConfig()
 
-	alg := flag.String("alg", "2PL", "algorithm: 2PL, WW, BTO, OPT or NO_DC")
+	alg := flag.String("alg", "2PL", "algorithm: 2PL, WW, BTO, OPT, NO_DC or O2PL")
 	protocol := flag.String("protocol", "2PC", "commit protocol: 2PC (centralized), PA (presumed abort) or PC (presumed commit)")
 	nodes := flag.Int("nodes", cfg.NumProcNodes, "number of processing nodes")
 	ways := flag.Int("ways", cfg.PartitionWays, "partitioning degree (0 = spread every relation over all nodes)")

@@ -59,8 +59,8 @@ const (
 // (2PL, BTO, WW, OPT, NO_DC).
 func Algorithms() []Algorithm { return cc.Kinds() }
 
-// ParseAlgorithm converts a name ("2PL", "WW", "BTO", "OPT", "NO_DC") to an
-// Algorithm.
+// ParseAlgorithm converts a name ("2PL", "WW", "BTO", "OPT", "NO_DC",
+// "O2PL") to an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) { return cc.ParseKind(s) }
 
 // CommitProtocol identifies a two-phase commit variant; set

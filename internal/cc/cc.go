@@ -38,7 +38,7 @@ const (
 	O2PL
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	TwoPL:     "2PL",
 	WoundWait: "WW",
 	BTO:       "BTO",
@@ -48,21 +48,20 @@ var kindNames = map[Kind]string{
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind converts an algorithm name (as printed by String) to a Kind.
 func ParseKind(s string) (Kind, error) {
-	//ddbmlint:ordered kindNames values are unique, so at most one iteration can match and return
 	for k, n := range kindNames {
 		if n == s {
-			return k, nil
+			return Kind(k), nil
 		}
 	}
-	return 0, fmt.Errorf("cc: unknown algorithm %q (want 2PL, WW, BTO, OPT or NO_DC)", s)
+	return 0, fmt.Errorf("cc: unknown algorithm %q (want 2PL, WW, BTO, OPT, NO_DC or O2PL)", s)
 }
 
 // Kinds lists the paper's four algorithms plus the NO_DC baseline, in the
@@ -299,12 +298,6 @@ type CohortMeta struct {
 	// blocked. Both are maintained only when the fault layer is active.
 	InDoubt        bool
 	BlockedInDoubt bool
-
-	// WaitSeq numbers the requests the cohort has queued at its node since
-	// that node's manager last committed or aborted it. 2PL's timeout
-	// scheme stamps each wait's timer with it, so a timer armed for an
-	// earlier wait of the attempt finds a later number and does nothing.
-	WaitSeq int64
 }
 
 // CrashReset clears the wait-state a cohort held when its node crashed, so

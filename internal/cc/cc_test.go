@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"testing"
 
 	"ddbm/internal/db"
@@ -46,7 +47,7 @@ func lockStep(lt *LockTable, co *CohortMeta, page db.PageID, mode LockMode, out 
 
 func TestKindStrings(t *testing.T) {
 	cases := map[Kind]string{
-		TwoPL: "2PL", WoundWait: "WW", BTO: "BTO", OPT: "OPT", NoDC: "NO_DC",
+		TwoPL: "2PL", WoundWait: "WW", BTO: "BTO", OPT: "OPT", NoDC: "NO_DC", O2PL: "O2PL",
 	}
 	for k, want := range cases {
 		if k.String() != want {
@@ -57,8 +58,10 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v", want, parsed, err)
 		}
 	}
-	if Kind(99).String() == "" {
-		t.Error("unknown kind should still render")
+	for _, k := range []Kind{O2PL + 1, 99, -1} {
+		if want := fmt.Sprintf("Kind(%d)", int(k)); k.String() != want {
+			t.Errorf("out-of-range kind renders %q, want %q", k.String(), want)
+		}
 	}
 	if _, err := ParseKind("nope"); err == nil {
 		t.Error("ParseKind accepted garbage")

@@ -206,6 +206,57 @@ func TestStaleTimerDoesNotAbortLaterWait(t *testing.T) {
 	}
 }
 
+func TestStaleTimerDoesNotAbortNextAttempt(t *testing.T) {
+	// A cohort record waits at t=1, so its timer is due at 101; it is
+	// granted at 50 and commits. The pool then hands the record to the
+	// next attempt, which blocks at t=60 on a page held until t=120. That
+	// wait is shorter than the timeout, so the first attempt's timer must
+	// not abort it.
+	s := sim.New(1)
+	m := NewWithTimeout(100).NewManager(cc.Env{Sim: s, Node: 0}).(*manager)
+	h1 := &cc.CohortMeta{Txn: newTxn(1), Node: 0}
+	h2 := &cc.CohortMeta{Txn: newTxn(2), Node: 0}
+	rec := &cc.CohortMeta{Txn: newTxn(3), Node: 0}
+	simtest.Go(s,
+		cctest.Access(m, h1, pg(1), true, nil),
+		simtest.Delay(50),
+		simtest.Do(func() {
+			h1.Txn.State = cc.Committing
+			m.Commit(h1) // releases pg1 at t=50
+		}))
+	simtest.Go(s,
+		cctest.Access(m, h2, pg(2), true, nil),
+		simtest.Delay(120),
+		simtest.Do(func() {
+			h2.Txn.State = cc.Committing
+			m.Commit(h2) // releases pg2 at t=120
+		}))
+	var first, out cc.Outcome
+	simtest.Go(s,
+		simtest.Delay(1),
+		cctest.Access(m, rec, pg(1), true, &first), // waits 1..50
+		simtest.Do(func() {
+			if first != cc.Granted {
+				t.Errorf("first attempt's wait: %v, want granted", first)
+			}
+			rec.Txn.State = cc.Committing
+			m.Commit(rec)
+			// Reuse the record for the next attempt, as the transaction
+			// manager's cohort pool does.
+			*rec = cc.CohortMeta{Txn: newTxn(4), Node: 0}
+			rec.Txn.OnAbort = func(int) { t.Error("the first attempt's timer aborted the next attempt") }
+		}),
+		simtest.Delay(10),
+		cctest.Access(m, rec, pg(2), true, &out)) // waits 60..120, past the first attempt's deadline
+	s.Run(10000)
+	if out != cc.Granted {
+		t.Fatalf("next attempt's wait: %v, want granted", out)
+	}
+	if m.Timeouts() != 0 {
+		t.Fatalf("%d timeouts fired", m.Timeouts())
+	}
+}
+
 func TestPrepareDeferredUpgradesHeldReadLock(t *testing.T) {
 	// O2PL's common case: the cohort read the page (S) during its work
 	// phase and upgrades to X at prepare.

@@ -32,11 +32,12 @@ type Algorithm struct {
 	// detection and the Snoop are identical to 2PL.
 	Optimistic bool
 	// MaxTxns and MaxLocksPerCohort, when positive, pre-size every
-	// manager's lock table, the local-detection scratch and the Snoop's
-	// gather buffer for MaxTxns concurrently active transaction attempts
-	// each holding at most MaxLocksPerCohort locks per node (the machine
-	// passes workload.Generator.MaxAccessesPerCohort, a bound computed
-	// from the placement). All of those buffers are self-amortising, but
+	// manager's lock table, the local-detection scratch, the Snoop's
+	// gather buffer and the timeout scheme's lock-wait timers for MaxTxns
+	// concurrently active transaction attempts each holding at most
+	// MaxLocksPerCohort locks per node (the machine passes
+	// workload.Generator.MaxAccessesPerCohort, a bound computed from the
+	// placement). All of those buffers are self-amortising, but
 	// their growth chases high-water records (widest conflict set, biggest
 	// waits-for graph) that arrive too rarely for a warmup to retire
 	// deterministically; pre-sizing from the machine's concurrency bound
@@ -90,7 +91,15 @@ func (a *Algorithm) NewManager(env cc.Env) cc.Manager {
 	m := &manager{env: env, a: a, kind: a.Kind(), lt: cc.NewLockTable(), timeout: a.WaitTimeoutMs}
 	if a.MaxTxns > 0 {
 		m.lt.Reserve(a.MaxTxns, max(1, a.MaxLocksPerCohort))
-		if a.WaitTimeoutMs <= 0 && cap(a.edges) < a.maxEdges() {
+		switch {
+		case a.WaitTimeoutMs > 0:
+			ws := make([]lockWait, a.MaxTxns)
+			m.waits = make([]*lockWait, 0, a.MaxTxns)
+			m.waitFree = make([]*lockWait, a.MaxTxns)
+			for i := range ws {
+				m.waitFree[i] = m.initWait(&ws[i])
+			}
+		case cap(a.edges) < a.maxEdges():
 			a.det.Reserve(a.MaxTxns, a.maxEdges())
 			a.edges = make([]cc.Edge, 0, a.maxEdges())
 		}
@@ -105,7 +114,12 @@ type manager struct {
 	lt       *cc.LockTable
 	timeout  float64 // 0: detection; >0: timeout scheme
 	timeouts int64
-	// waitFree recycles fired lock-wait timers (timeout scheme only).
+	// waits holds the pending lock-wait timers of the timeout scheme, at
+	// most one per cohort: a cohort's next wait here re-arms its timer,
+	// and Commit and Abort withdraw it. So pending timers never outnumber
+	// the cohorts active at this node, and waitFree starts with MaxTxns
+	// of them, one per terminal.
+	waits    []*lockWait
 	waitFree []*lockWait
 	// deferredFree recycles finished deferred-write acquisitions.
 	deferredFree []*deferredLocks
@@ -166,7 +180,7 @@ func (m *manager) Prepare(co *cc.CohortMeta) bool { return true }
 
 func (m *manager) Commit(co *cc.CohortMeta) {
 	m.lt.ReleaseAll(co)
-	m.endWaits(co)
+	m.endWait(co)
 }
 
 func (m *manager) Abort(co *cc.CohortMeta) {
@@ -174,54 +188,79 @@ func (m *manager) Abort(co *cc.CohortMeta) {
 	if co.Waiting() {
 		co.Deny()
 	}
-	m.endWaits(co)
+	m.endWait(co)
 }
 
-// lockWait is the timer of one blocked request in the timeout scheme. It
-// fires once, timeout after the block, and then returns to its manager's
-// pool. seq is the cohort's WaitSeq when the request blocked, and the
-// firing acts only if the cohort still waits at this node under that
-// number. Commit and Abort restart the numbering, so a timer that outlives
-// its attempt can match a later attempt's wait of the same number.
+// lockWait is one cohort's lock-wait timer at a node in the timeout
+// scheme. Each wait of the cohort there re-arms it to fire timeout after
+// the block, and the cohort's commit or abort there withdraws it, so a
+// firing always belongs to the cohort's latest wait in its current
+// attempt: it aborts the attempt if that wait is still going on.
 type lockWait struct {
-	m    *manager
-	co   *cc.CohortMeta
-	seq  int64
-	fire func() // expire, bound once
+	k  sim.Cont
+	m  *manager
+	co *cc.CohortMeta
 }
 
-// armWait numbers a new wait of co and schedules its timer.
+func (m *manager) initWait(w *lockWait) *lockWait {
+	w.m = m
+	w.k.Init(m.env.Sim, w.expire)
+	return w
+}
+
+// armWait (re)arms co's timer for a wait that starts now.
 func (m *manager) armWait(co *cc.CohortMeta) {
 	var w *lockWait
-	if n := len(m.waitFree); n > 0 {
-		w = m.waitFree[n-1]
-		m.waitFree[n-1] = nil
-		m.waitFree = m.waitFree[:n-1]
+	if i := m.waitIndex(co); i >= 0 {
+		w = m.waits[i]
+		w.k.Cancel()
 	} else {
-		w = &lockWait{m: m}
-		w.fire = w.expire
+		if n := len(m.waitFree); n > 0 {
+			w = m.waitFree[n-1]
+			m.waitFree[n-1] = nil
+			m.waitFree = m.waitFree[:n-1]
+		} else {
+			w = m.initWait(&lockWait{})
+		}
+		w.co = co
+		m.waits = append(m.waits, w)
 	}
-	co.WaitSeq++
-	w.co, w.seq = co, co.WaitSeq
-	m.env.Sim.After(m.timeout, w.fire)
+	w.k.Delay(m.timeout)
 }
 
-// expire recycles the timer and aborts the waiter if the wait it was armed
-// for is still going on.
+// endWait withdraws co's timer at this node, if it has one, and returns
+// it to the pool.
+func (m *manager) endWait(co *cc.CohortMeta) {
+	i := m.waitIndex(co)
+	if i < 0 {
+		return
+	}
+	w := m.waits[i]
+	w.k.Cancel()
+	w.co = nil
+	last := len(m.waits) - 1
+	m.waits[i], m.waits[last] = m.waits[last], nil
+	m.waits = m.waits[:last]
+	m.waitFree = append(m.waitFree, w)
+}
+
+// waitIndex returns the index of co's timer in waits, or -1.
+func (m *manager) waitIndex(co *cc.CohortMeta) int {
+	for i, w := range m.waits {
+		if w.co == co {
+			return i
+		}
+	}
+	return -1
+}
+
+// expire ends the cohort's timer and aborts its attempt if the cohort
+// still waits at this node: its latest wait has lasted the timeout.
 func (w *lockWait) expire() {
 	m, co := w.m, w.co
-	current := co.Waiting() && co.Node == m.env.Node && co.WaitSeq == w.seq
-	w.co = nil
-	m.waitFree = append(m.waitFree, w)
-	if current && co.Txn.RequestAbort(m.env.Node, "lock timeout", cc.CauseLockTimeout) {
+	m.endWait(co)
+	if co.Waiting() && co.Node == m.env.Node && co.Txn.RequestAbort(m.env.Node, "lock timeout", cc.CauseLockTimeout) {
 		m.timeouts++
-	}
-}
-
-// endWaits restarts the numbering of co's waits at this node.
-func (m *manager) endWaits(co *cc.CohortMeta) {
-	if co.Node == m.env.Node {
-		co.WaitSeq = 0
 	}
 }
 

@@ -54,25 +54,24 @@ const (
 	PresumedCommit
 )
 
-var kindNames = map[Kind]string{
+var kindNames = [...]string{
 	CentralizedTwoPC: "2PC",
 	PresumedAbort:    "PA",
 	PresumedCommit:   "PC",
 }
 
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
 // ParseKind converts a protocol name (as printed by String) to a Kind.
 func ParseKind(s string) (Kind, error) {
-	//ddbmlint:ordered kindNames values are unique, so at most one iteration can match and return
 	for k, n := range kindNames {
 		if n == s {
-			return k, nil
+			return Kind(k), nil
 		}
 	}
 	return 0, fmt.Errorf("commit: unknown protocol %q (want 2PC, PA or PC)", s)

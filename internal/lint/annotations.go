@@ -18,10 +18,13 @@ type annotation struct {
 // fileAnns indexes a file's annotations by line (for suppression lookup)
 // and in source order (for the unused-annotation sweep). A line can carry
 // several annotations — clauses chained inside one comment and stacked
-// comment lines above a site are all independently tracked.
+// comment lines above a site are all independently tracked. stacked marks
+// the annotation lines that hold no code: only those stack over the line
+// below.
 type fileAnns struct {
-	byLine map[int][]*annotation
-	list   []*annotation
+	byLine  map[int][]*annotation
+	list    []*annotation
+	stacked map[int]bool
 }
 
 const annPrefix = "ddbmlint:"
@@ -30,11 +33,10 @@ const annPrefix = "ddbmlint:"
 // may chain several clauses ("//ddbmlint:allow a <why> ddbmlint:allow b
 // <why>"), so a site flagged by two checks can suppress both on one line.
 // Malformed annotations (unknown verb or check, missing justification)
-// are reported immediately when report is set — an escape hatch that does
-// not state its argument is worthless for review. Dependency units parse
-// annotations for suppression but never report on them.
-func collectAnnotations(fset *token.FileSet, f *ast.File, rn *run, report bool) *fileAnns {
-	fa := &fileAnns{byLine: map[int][]*annotation{}}
+// are reported immediately — an escape hatch that does not state its
+// argument is worthless for review.
+func collectAnnotations(fset *token.FileSet, f *ast.File, rn *run) *fileAnns {
+	fa := &fileAnns{byLine: map[int][]*annotation{}, stacked: map[int]bool{}}
 	for _, cg := range f.Comments {
 		for _, c := range cg.List {
 			text := strings.TrimPrefix(c.Text, "//")
@@ -53,18 +55,32 @@ func collectAnnotations(fset *token.FileSet, f *ast.File, rn *run, report bool) 
 				if clause == "" {
 					continue
 				}
-				if a := parseClause(clause, pos, rn, report); a != nil {
+				if a := parseClause(clause, pos, rn); a != nil {
 					fa.byLine[a.line] = append(fa.byLine[a.line], a)
 					fa.list = append(fa.list, a)
+					fa.stacked[a.line] = true
 				}
 			}
 		}
+	}
+	if len(fa.list) > 0 {
+		// A line holds code when a node starts or ends on it; comments
+		// are not code.
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case nil, *ast.CommentGroup, *ast.Comment:
+				return false
+			}
+			delete(fa.stacked, fset.Position(n.Pos()).Line)
+			delete(fa.stacked, fset.Position(n.End()).Line)
+			return true
+		})
 	}
 	return fa
 }
 
 // parseClause parses one annotation clause (the text after "ddbmlint:").
-func parseClause(body string, pos token.Position, rn *run, report bool) *annotation {
+func parseClause(body string, pos token.Position, rn *run) *annotation {
 	verb, rest, _ := strings.Cut(body, " ")
 	var check, reason string
 	switch verb {
@@ -74,44 +90,35 @@ func parseClause(body string, pos token.Position, rn *run, report bool) *annotat
 		check, reason, _ = strings.Cut(strings.TrimSpace(rest), " ")
 		reason = strings.TrimSpace(reason)
 		if !checkNameValid(check) {
-			if report {
-				rn.diags = append(rn.diags, Diagnostic{
-					Pos: pos, Check: "annotation",
-					Msg:  fmt.Sprintf("ddbmlint:allow names unknown check %q", check),
-					Hint: knownChecksHint(),
-				})
-			}
+			rn.diags = append(rn.diags, Diagnostic{
+				Pos: pos, Check: "annotation",
+				Msg:  fmt.Sprintf("ddbmlint:allow names unknown check %q", check),
+				Hint: knownChecksHint(),
+			})
 			return nil
 		}
 	default:
-		if report {
-			rn.diags = append(rn.diags, Diagnostic{
-				Pos: pos, Check: "annotation",
-				Msg:  fmt.Sprintf("unknown ddbmlint annotation verb %q", verb),
-				Hint: "use //ddbmlint:ordered <why> or //ddbmlint:allow <check> <why>",
-			})
-		}
+		rn.diags = append(rn.diags, Diagnostic{
+			Pos: pos, Check: "annotation",
+			Msg:  fmt.Sprintf("unknown ddbmlint annotation verb %q", verb),
+			Hint: "use //ddbmlint:ordered <why> or //ddbmlint:allow <check> <why>",
+		})
 		return nil
 	}
 	if reason == "" {
-		if report {
-			rn.diags = append(rn.diags, Diagnostic{
-				Pos: pos, Check: "annotation",
-				Msg:  "ddbmlint annotation without a justification",
-				Hint: "state why the flagged construct cannot affect determinism",
-			})
-		}
+		rn.diags = append(rn.diags, Diagnostic{
+			Pos: pos, Check: "annotation",
+			Msg:  "ddbmlint annotation without a justification",
+			Hint: "state why the flagged construct cannot affect determinism",
+		})
 		return nil
 	}
 	return &annotation{line: pos.Line, check: check, reason: reason}
 }
 
 func knownChecksHint() string {
-	names := make([]string, 0, len(Checks)+len(ModuleChecks))
+	names := make([]string, 0, len(Checks))
 	for _, c := range Checks {
-		names = append(names, c.Name)
-	}
-	for _, c := range ModuleChecks {
 		names = append(names, c.Name)
 	}
 	return "known checks: " + strings.Join(names, ", ")

@@ -64,11 +64,10 @@ func (c Config) policy(check string) Policy {
 //     internal/obs included, must run on simulated time only. cmd/...
 //     (benchmark harnesses time real work) and _test.go files are
 //     allowlisted.
-//   - no-global-rand: nothing under internal/ or experiments/, tests
-//     included, may draw from the global math/rand source; all
-//     randomness flows through the per-Simulation seeded *rand.Rand so
-//     runs are a pure function of the seed. cmd/... harness tooling is
-//     exempt from the direct check — taint-rand guards the boundary.
+//   - no-global-rand: nothing outside cmd/..., tests included, may draw
+//     from the global math/rand source; all randomness flows through the
+//     per-Simulation seeded *rand.Rand so runs are a pure function of the
+//     seed. cmd/... harness tooling is exempt.
 //   - map-order: non-test simulation code must not let Go's randomized
 //     map iteration order reach anything order-sensitive.
 //   - no-naked-goroutine: simulation processes are continuations on the
@@ -76,31 +75,21 @@ func (c Config) policy(check string) Policy {
 //     by a go statement or a goroutine process (Sim.Spawn, kept for the
 //     kernel benchmark). Host concurrency anywhere else needs an audited
 //     annotation. Test harnesses are exempt.
-//   - no-reflect-sort: library code under internal/ must sort with the
-//     generic slices helpers, not reflection-based sort.Slice — the
-//     reflectlite.Swapper cost is what made the pre-incremental lock
-//     manager the simulator's bottleneck. Tests and cmd/ tooling are
-//     exempt: they are off the simulation hot path.
-//   - taint-wall-clock / taint-rand: the interprocedural complements of
-//     no-wall-clock and no-global-rand. Reported in the same scope as
-//     the base checks: a call from simulation code into an exempt-scope
-//     helper that (transitively) reads the host clock or the global
-//     rand source is a finding at the boundary call site.
 //
-// internal/fault and internal/recovery are deliberately absent from every
-// Skip list: the fault injector and the restart machinery are simulation
-// code in full scope, so the wall-clock ban and the global-rand ban (fault
-// schedules draw only from seeded substreams) apply to them unreduced. The
-// fixture packages testdata/lint/internal/fault and .../recovery pin
-// exactly that: each check fires at those package paths.
+// The cmd/ exemptions of the first two checks cannot leak into
+// simulation code: every package under cmd/ is a main package, which
+// nothing can import (TestExemptPackagesAreMain). internal/fault and
+// internal/recovery are deliberately absent from every Skip list: the
+// fault injector and the restart machinery are simulation code in full
+// scope, so the wall-clock ban and the global-rand ban (fault schedules
+// draw only from seeded substreams) apply to them unreduced. The fixture
+// packages testdata/lint/internal/fault and .../recovery pin exactly
+// that: each check fires at those package paths.
 func DefaultConfig(module string) Config {
 	return NewConfig(
 		Policy{Check: "no-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
 		Policy{Check: "no-global-rand", Skip: []string{module + "/cmd"}},
 		Policy{Check: "map-order", SkipTests: true},
 		Policy{Check: "no-naked-goroutine", SkipTests: true, Skip: []string{module + "/internal/sim"}},
-		Policy{Check: "no-reflect-sort", SkipTests: true, Only: []string{module + "/internal"}},
-		Policy{Check: "taint-wall-clock", SkipTests: true, Skip: []string{module + "/cmd"}},
-		Policy{Check: "taint-rand", SkipTests: true, Skip: []string{module + "/cmd"}},
 	)
 }

@@ -14,8 +14,7 @@ var randConstructors = map[string]bool{
 
 // globalRandRef returns the package-level math/rand function sel draws
 // from the global source with, or nil. Methods on an explicit *rand.Rand
-// and the source constructors are fine. Shared by the intra-unit check
-// and the interprocedural summary extraction.
+// and the source constructors are fine.
 func globalRandRef(info *types.Info, sel *ast.SelectorExpr) *types.Func {
 	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
 	if !ok || fn.Pkg() == nil {

@@ -3,40 +3,35 @@
 // hoping a golden seed exercises them. The whole value of this
 // reproduction rests on bit-identical, seed-deterministic runs; golden
 // tests guard that property dynamically, this package guards it
-// statically. Allocation freedom is a performance property, not a
-// determinism one: the run-time allocation pins guard it, not this
-// package.
+// statically. Allocation freedom and sorting cost are performance
+// properties, not determinism ones: the run-time allocation pins guard
+// them, not this package.
 //
-// Five intra-unit checks (see the check files for details):
+// Four per-file checks (see the check files for details):
 //
 //	no-wall-clock       time.Now/Since/Sleep/... in simulation code
 //	no-global-rand      package-level math/rand functions
 //	map-order           for-range over a map with an order-sensitive body
 //	no-naked-goroutine  go statements and Sim.Spawn outside internal/sim
-//	no-reflect-sort     sort.Slice/sort.SliceStable in internal/ code
 //
 // Dead-handle hazards need no check: the kernel exports no event handle
 // (Schedule and After return nothing; a cancelable wait is a sim.Cont)
 // and the tracer no open-span handle (spans are recorded whole), so the
-// compiler rules out retaining either.
-//
-// Two interprocedural checks run over a whole-module call graph with
-// per-function determinism summaries (see callgraph.go, summary.go):
-//
-//	taint-wall-clock    simulation code reaching a wall-clock read
-//	                    through helpers outside the base check's scope
-//	taint-rand          simulation code reaching the global rand source
-//	                    through helpers outside the base check's scope
+// compiler rules out retaining either. Nor does a clock read or a global
+// rand draw reached through a helper: the only packages exempt from the
+// first two checks are the main packages under cmd/, which nothing can
+// import (TestExemptPackagesAreMain).
 //
 // A finding can be suppressed with an annotation comment on the flagged
-// line or stacked comment lines directly above it:
+// line, or on comment lines stacked directly above it:
 //
 //	//ddbmlint:ordered <why iteration order cannot matter>
 //	//ddbmlint:allow <check-name> <why this use is audited and safe>
 //
-// Annotations must state their justification; an annotation with no
-// reason, for an unknown check, or that suppresses nothing is itself a
-// diagnostic, so stale escapes cannot accumulate.
+// A trailing annotation, on a line that also holds code, covers only its
+// own line. Annotations must state their justification; an annotation
+// with no reason, for an unknown check, or that suppresses nothing is
+// itself a diagnostic, so stale escapes cannot accumulate.
 package lint
 
 import (
@@ -65,7 +60,7 @@ func (d Diagnostic) String() string {
 	return s
 }
 
-// Check is one intra-unit analyzer. Run is invoked once per file that the
+// Check is one per-file analyzer. Run is invoked once per file that the
 // config leaves in scope.
 type Check struct {
 	Name string
@@ -73,27 +68,12 @@ type Check struct {
 	Run  func(p *Pass, f *ast.File)
 }
 
-// Checks is the intra-unit suite, in reporting order.
+// Checks is the suite, in reporting order.
 var Checks = []Check{
 	{Name: "no-wall-clock", Doc: "wall-clock time in simulation code", Run: runWallClock},
 	{Name: "no-global-rand", Doc: "global math/rand functions", Run: runGlobalRand},
 	{Name: "map-order", Doc: "order-sensitive map iteration", Run: runMapOrder},
 	{Name: "no-naked-goroutine", Doc: "goroutines outside the sim scheduler", Run: runNakedGoroutine},
-	{Name: "no-reflect-sort", Doc: "reflection-based sort.Slice in hot library code", Run: runReflectSort},
-}
-
-// ModuleCheck is one interprocedural analyzer: it sees the whole call
-// graph and the computed summaries rather than one file.
-type ModuleCheck struct {
-	Name string
-	Doc  string
-	Run  func(mp *ModulePass)
-}
-
-// ModuleChecks is the interprocedural suite, in reporting order.
-var ModuleChecks = []ModuleCheck{
-	{Name: "taint-wall-clock", Doc: "wall-clock reads reached through out-of-scope helpers", Run: runTaintWallClock},
-	{Name: "taint-rand", Doc: "global rand draws reached through out-of-scope helpers", Run: runTaintRand},
 }
 
 func checkNameValid(name string) bool {
@@ -102,24 +82,15 @@ func checkNameValid(name string) bool {
 			return true
 		}
 	}
-	for _, c := range ModuleChecks {
-		if c.Name == name {
-			return true
-		}
-	}
 	return false
 }
 
-// Pass hands one intra-unit check everything it needs for one unit.
+// Pass hands one check everything it needs for one unit.
 type Pass struct {
-	Fset  *token.FileSet
 	Unit  *Unit
 	check string
 	run   *run
 }
-
-// TypeOf returns the type of e, or nil.
-func (p *Pass) TypeOf(e ast.Expr) types.Type { return p.Unit.Info.TypeOf(e) }
 
 // ObjectOf returns the object an identifier denotes, or nil.
 func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Unit.Info.ObjectOf(id) }
@@ -127,19 +98,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Unit.Info.ObjectO
 // Report files a diagnostic unless an annotation suppresses it.
 func (p *Pass) Report(pos token.Pos, msg, hint string) {
 	p.run.report(p.check, pos, msg, hint)
-}
-
-// ModulePass hands one interprocedural check the whole-run state.
-type ModulePass struct {
-	Config Config
-	Graph  *CallGraph
-	check  string
-	run    *run
-}
-
-// Report files a diagnostic unless an annotation suppresses it.
-func (mp *ModulePass) Report(pos token.Pos, msg, hint string) {
-	mp.run.report(mp.check, pos, msg, hint)
 }
 
 // run is the mutable state of one whole lint invocation.
@@ -158,9 +116,11 @@ func (r *run) report(check string, pos token.Pos, msg, hint string) {
 	r.diags = append(r.diags, Diagnostic{Pos: position, Check: check, Msg: msg, Hint: hint})
 }
 
-// annotationFor finds an unshadowed annotation for check on line or on
-// the contiguous run of annotation-bearing lines directly above it, so
-// several single-annotation comment lines can stack over one site.
+// annotationFor finds an annotation for check on line or on the
+// contiguous run of annotation lines directly above it that hold no code,
+// so several single-annotation comment lines can stack over one site. A
+// trailing annotation, on a line that holds code, ends the run: it covers
+// only its own line.
 func (r *run) annotationFor(file string, line int, check string) *annotation {
 	fa := r.anns[file]
 	if fa == nil {
@@ -169,15 +129,12 @@ func (r *run) annotationFor(file string, line int, check string) *annotation {
 	if a := matchAnnotation(fa.byLine[line], check); a != nil {
 		return a
 	}
-	for l := line - 1; ; l-- {
-		anns := fa.byLine[l]
-		if len(anns) == 0 {
-			return nil
-		}
-		if a := matchAnnotation(anns, check); a != nil {
+	for l := line - 1; fa.stacked[l]; l-- {
+		if a := matchAnnotation(fa.byLine[l], check); a != nil {
 			return a
 		}
 	}
+	return nil
 }
 
 func matchAnnotation(anns []*annotation, check string) *annotation {
@@ -208,54 +165,32 @@ func (r *Runner) LintDir(dir, pkgPath string) ([]Diagnostic, error) {
 	return r.Lint([]Target{{Dir: dir, Path: pkgPath}})
 }
 
-// Lint runs the whole suite over the target directories as one analysis:
-// intra-unit checks per target unit, then the call graph and summaries
-// over the targets plus every module package they transitively import,
-// then the interprocedural checks. Diagnostics are reported only against
-// target units and returned in deterministic order.
+// Lint runs the whole suite over the target directories and returns the
+// diagnostics in deterministic order.
 func (r *Runner) Lint(targets []Target) ([]Diagnostic, error) {
-	var targetUnits []*Unit
-	targetDirs := map[string]bool{}
+	var units []*Unit
 	for _, t := range targets {
-		units, err := r.Loader.LoadDir(t.Dir, t.Path)
+		us, err := r.Loader.LoadDir(t.Dir, t.Path)
 		if err != nil {
 			return nil, err
 		}
-		targetUnits = append(targetUnits, units...)
-		for _, u := range units {
-			targetDirs[u.Dir] = true
-		}
+		units = append(units, us...)
 	}
-	allUnits := append(slices.Clip(targetUnits), r.Loader.ImportedUnits(targetDirs)...)
 
 	rn := &run{fset: r.Loader.Fset, anns: map[string]*fileAnns{}}
-	// Annotations are collected for every loaded unit so suppression works
-	// wherever a finding lands, but malformed-annotation reporting and the
-	// unused sweep cover only the lint targets.
-	for _, u := range allUnits {
+	for _, u := range units {
 		for _, f := range u.Files {
-			name := r.Loader.Fset.Position(f.Pos()).Filename
-			if rn.anns[name] != nil {
-				continue
-			}
-			rn.anns[name] = collectAnnotations(r.Loader.Fset, f, rn, !u.Imported)
+			rn.anns[r.Loader.Fset.Position(f.Pos()).Filename] = collectAnnotations(r.Loader.Fset, f, rn)
 		}
 	}
 
-	for _, u := range targetUnits {
+	for _, u := range units {
 		r.lintUnit(u, rn)
-	}
-
-	graph := buildCallGraph(r.Loader.Fset, allUnits)
-	computeSummaries(graph)
-	for _, chk := range ModuleChecks {
-		mp := &ModulePass{Config: r.Config, Graph: graph, check: chk.Name, run: rn}
-		chk.Run(mp)
 	}
 
 	// Stale escapes are findings too: an annotation that suppressed
 	// nothing means the code it excused was fixed (or never needed it).
-	for _, u := range targetUnits {
+	for _, u := range units {
 		for _, f := range u.Files {
 			name := r.Loader.Fset.Position(f.Pos()).Filename
 			for _, a := range rn.anns[name].list {
@@ -293,7 +228,7 @@ func (r *Runner) lintUnit(u *Unit, rn *run) {
 		if !pol.inScope(u.Path) {
 			continue
 		}
-		pass := &Pass{Fset: r.Loader.Fset, Unit: u, check: chk.Name, run: rn}
+		pass := &Pass{Unit: u, check: chk.Name, run: rn}
 		for _, f := range u.Files {
 			if pol.SkipTests && u.Test[f] {
 				continue

@@ -58,13 +58,43 @@ func collectWants(t *testing.T, dir string) map[string][]string {
 	return wants
 }
 
+// targets lists every package directory under dir as a lint target, at
+// its import path below module.
+func targets(t *testing.T, dir, module string) []Target {
+	t.Helper()
+	dirs, err := PackageDirs(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]Target, len(dirs))
+	for i, rel := range dirs {
+		path := module
+		if rel != "." {
+			path += "/" + rel
+		}
+		ts[i] = Target{Dir: filepath.Join(dir, filepath.FromSlash(rel)), Path: path}
+	}
+	return ts
+}
+
+// fixtureTargets lists the fixture packages under testdata/lint, in the
+// fake module "fixture".
+func fixtureTargets(t *testing.T, root string) []Target {
+	t.Helper()
+	ts := targets(t, filepath.Join(root, "testdata", "lint"), "fixture")
+	if len(ts) < 5 {
+		t.Fatalf("found only %d fixture packages under testdata/lint; expected one per check at least", len(ts))
+	}
+	return ts
+}
+
 // TestFixtures runs the full check suite over every fixture package under
 // testdata/lint and asserts the exact diagnostic set: each // want
 // comment must be hit on its line, and nothing unexpected may fire. The
 // fixture tree reuses the default scope table under the module name
 // "fixture", so fixture/cmd/... and fixture/internal/sim exercise the
-// allowlist entries. Every intra-unit check must fire somewhere: a check
-// no fixture can trip guards a hazard that can no longer occur.
+// allowlist entries. Every check must fire somewhere: a check no fixture
+// can trip guards a hazard that can no longer occur.
 func TestFixtures(t *testing.T) {
 	root := findModuleRoot(t)
 	loader, err := NewLoader(root)
@@ -72,35 +102,55 @@ func TestFixtures(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := &Runner{Loader: loader, Config: DefaultConfig("fixture")}
-	fixRoot := filepath.Join(root, "testdata", "lint")
-	dirs, err := PackageDirs(fixRoot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dirs) < 5 {
-		t.Fatalf("found only %d fixture packages under %s; expected one per check at least", len(dirs), fixRoot)
-	}
 	fired := map[string]bool{}
-	for _, rel := range dirs {
-		t.Run(rel, func(t *testing.T) {
-			dir := filepath.Join(fixRoot, filepath.FromSlash(rel))
-			pkgPath := "fixture"
-			if rel != "." {
-				pkgPath += "/" + rel
-			}
-			diags, err := runner.LintDir(dir, pkgPath)
+	for _, tgt := range fixtureTargets(t, root) {
+		t.Run(strings.TrimPrefix(tgt.Path, "fixture/"), func(t *testing.T) {
+			diags, err := runner.LintDir(tgt.Dir, tgt.Path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, d := range diags {
 				fired[d.Check] = true
 			}
-			matchWants(t, diags, collectWants(t, dir))
+			matchWants(t, diags, collectWants(t, tgt.Dir))
 		})
 	}
 	for _, c := range Checks {
 		if !fired[c.Name] {
 			t.Errorf("no fixture under testdata/lint trips check %s", c.Name)
+		}
+	}
+}
+
+// TestLintDeterminism pins the output-determinism invariant: two fresh
+// loader+runner passes over the whole fixture tree must render
+// byte-identical diagnostics, hints included — no map-iteration order may
+// leak into the reports.
+func TestLintDeterminism(t *testing.T) {
+	root := findModuleRoot(t)
+	render := func() string {
+		loader, err := NewLoader(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runner := &Runner{Loader: loader, Config: DefaultConfig("fixture")}
+		diags, err := runner.Lint(fixtureTargets(t, root))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, d := range diags {
+			fmt.Fprintf(&b, "%s\n", d)
+		}
+		return b.String()
+	}
+	first := render()
+	if first == "" {
+		t.Fatal("the fixtures produced no diagnostics; determinism test is vacuous")
+	}
+	for i := 0; i < 3; i++ {
+		if got := render(); got != first {
+			t.Fatalf("run %d diverged:\n--- first ---\n%s--- run %d ---\n%s", i+2, first, i+2, got)
 		}
 	}
 }
@@ -138,10 +188,7 @@ func matchWants(t *testing.T, diags []Diagnostic, wants map[string][]string) {
 // TestRepoLintClean asserts the repository itself carries zero findings —
 // the same gate ci.sh applies via cmd/ddbmlint, enforced from the test
 // suite so a bare `go test ./...` also guards the invariants. All package
-// directories go into one Lint call, exactly like `ddbmlint ./...`: the
-// interprocedural checks need the whole module in a single call graph
-// (simulation code in internal/core reaches helpers, and their audited
-// annotations, in other packages).
+// directories go into one Lint call, exactly like `ddbmlint ./...`.
 func TestRepoLintClean(t *testing.T) {
 	root := findModuleRoot(t)
 	loader, err := NewLoader(root)
@@ -149,24 +196,48 @@ func TestRepoLintClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := &Runner{Loader: loader, Config: DefaultConfig(loader.Module)}
-	dirs, err := PackageDirs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var targets []Target
-	for _, rel := range dirs {
-		pkgPath := loader.Module
-		if rel != "." {
-			pkgPath += "/" + rel
-		}
-		targets = append(targets, Target{Dir: filepath.Join(root, filepath.FromSlash(rel)), Path: pkgPath})
-	}
-	diags, err := runner.Lint(targets)
+	diags, err := runner.Lint(targets(t, root, loader.Module))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestExemptPackagesAreMain pins the premise that keeps the exemptions of
+// no-wall-clock and no-global-rand (cmd/...) from leaking into simulation
+// code: every package outside either check's scope is a main package,
+// which Go forbids importing, so no simulation code can call a helper
+// that reads the host clock or the global rand source there. Test files,
+// the other exemption of no-wall-clock, are not importable either.
+func TestExemptPackagesAreMain(t *testing.T) {
+	root := findModuleRoot(t)
+	loader, err := NewLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(loader.Module)
+	clockPol, randPol := cfg.policy("no-wall-clock"), cfg.policy("no-global-rand")
+	exempt := 0
+	for _, tgt := range targets(t, root, loader.Module) {
+		if clockPol.inScope(tgt.Path) && randPol.inScope(tgt.Path) {
+			continue
+		}
+		exempt++
+		pd, err := loader.parseDir(tgt.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range pd.files {
+			if f.Name.Name != "main" {
+				t.Errorf("%s: package %s is exempt from no-wall-clock or no-global-rand, so it must be a main package; simulation code can import it",
+					loader.Fset.Position(f.Package), f.Name.Name)
+			}
+		}
+	}
+	if exempt == 0 {
+		t.Fatal("no package is exempt from either check; the test is vacuous")
 	}
 }
 

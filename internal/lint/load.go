@@ -10,48 +10,27 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 )
 
 // Unit is one type-checked body of files: a package together with its
-// in-package _test.go files, an external (package foo_test) test package
-// (checked, as go test compiles it, against the former), or — for
-// packages pulled in only as dependencies of the lint targets —
-// the import view of the package (non-test files only). Test membership
-// is tracked per file so policies can exempt tests without a second load
-// path.
+// in-package _test.go files, or an external (package foo_test) test
+// package, checked, as go test compiles it, against the former. Test
+// membership is tracked per file so policies can exempt tests without a
+// second load path.
 type Unit struct {
 	Path  string // import path used for scope decisions
-	Dir   string // directory the files were parsed from
 	Files []*ast.File
 	Test  map[*ast.File]bool
 	Pkg   *types.Package
 	Info  *types.Info
-	// Imported marks units synthesized from the import view of a
-	// dependency rather than loaded as a lint target: their bodies feed
-	// the call graph, but intra-unit checks and diagnostics do not run
-	// on them.
-	Imported bool
 }
 
-// parsedDir caches one directory's parse so that the import view and the
-// unit view of a package share identical *ast.File values (and therefore
-// identical token positions for every declared object, which is what lets
-// the call graph bridge objects across the two type-checking views).
+// parsedDir caches one directory's parse, so a package read both as an
+// import and as a lint target is parsed once.
 type parsedDir struct {
 	files     []*ast.File // non-test files, sorted filename order
 	testFiles []*ast.File // _test.go files, sorted filename order
-}
-
-// impView is the cached import view of one module package: non-test
-// files only, exactly like the go toolchain compiles an imported package,
-// with the type info retained so dependency bodies can feed the call
-// graph.
-type impView struct {
-	pkg   *types.Package
-	info  *types.Info
-	files []*ast.File
 }
 
 // Loader parses and type-checks packages with nothing outside the
@@ -63,8 +42,11 @@ type Loader struct {
 	Root   string // module root directory (contains go.mod)
 	Module string // module path from go.mod
 
-	std     types.ImporterFrom
-	imports map[string]*impView // import view per module package path
+	std types.ImporterFrom
+	// imports holds the import view of each module package loaded so
+	// far: its non-test files only, as the go toolchain compiles an
+	// imported package.
+	imports map[string]*types.Package
 	loading map[string]bool
 	parsed  map[string]*parsedDir // keyed by cleaned directory path
 
@@ -101,7 +83,7 @@ func NewLoader(root string) (*Loader, error) {
 		Root:    root,
 		Module:  module,
 		std:     std,
-		imports: map[string]*impView{},
+		imports: map[string]*types.Package{},
 		loading: map[string]bool{},
 		parsed:  map[string]*parsedDir{},
 	}, nil
@@ -119,34 +101,23 @@ func (l *Loader) dirFor(path string) string {
 // importer — non-test files only — so in-package test files can never
 // manufacture an import cycle.
 func (l *Loader) Import(path string) (*types.Package, error) {
-	if v, ok := l.imports[path]; ok {
-		return v.pkg, nil
+	if pkg, ok := l.imports[path]; ok {
+		return pkg, nil
 	}
 	if !pathMatch(path, l.Module) {
 		return l.std.Import(path)
-	}
-	v, err := l.importView(path)
-	if err != nil {
-		return nil, err
-	}
-	return v.pkg, nil
-}
-
-func (l *Loader) importView(path string) (*impView, error) {
-	if v, ok := l.imports[path]; ok {
-		return v, nil
 	}
 	if l.loading[path] {
 		return nil, fmt.Errorf("lint: import cycle through %q", path)
 	}
 	if l.base != nil {
-		v, err := l.base.importView(path)
+		pkg, err := l.base.Import(path)
 		if err != nil {
 			return nil, err
 		}
-		if !importsPath(v.pkg, l.under, map[*types.Package]bool{}) {
-			l.imports[path] = v
-			return v, nil
+		if !importsPath(pkg, l.under, map[*types.Package]bool{}) {
+			l.imports[path] = pkg
+			return pkg, nil
 		}
 	}
 	l.loading[path] = true
@@ -159,13 +130,12 @@ func (l *Loader) importView(path string) (*impView, error) {
 	if len(pd.files) == 0 {
 		return nil, fmt.Errorf("lint: no Go files in %s for import %q", l.dirFor(path), path)
 	}
-	pkg, info, err := l.typecheck(path, pd.files)
+	pkg, err := l.typecheck(path, pd.files, nil)
 	if err != nil {
 		return nil, err
 	}
-	v := &impView{pkg: pkg, info: info, files: pd.files}
-	l.imports[path] = v
-	return v, nil
+	l.imports[path] = pkg
+	return pkg, nil
 }
 
 // ImportFrom implements types.ImporterFrom; vendoring is not supported.
@@ -175,8 +145,7 @@ func (l *Loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Pac
 
 // parseDir parses every .go file in dir, split into non-test files and
 // _test.go files, in sorted filename order. Each directory is parsed at
-// most once per loader, so every view of a package shares the same
-// *ast.File values and token positions.
+// most once per loader.
 func (l *Loader) parseDir(dir string) (*parsedDir, error) {
 	dir = filepath.Clean(dir)
 	if pd, ok := l.parsed[dir]; ok {
@@ -206,15 +175,9 @@ func (l *Loader) parseDir(dir string) (*parsedDir, error) {
 	return pd, nil
 }
 
-// typecheck checks one set of files as a package.
-func (l *Loader) typecheck(path string, files []*ast.File) (*types.Package, *types.Info, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
+// typecheck checks one set of files as a package, recording into info
+// unless it is nil.
+func (l *Loader) typecheck(path string, files []*ast.File, info *types.Info) (*types.Package, error) {
 	var errs []error
 	conf := types.Config{
 		Importer: l,
@@ -226,12 +189,12 @@ func (l *Loader) typecheck(path string, files []*ast.File) (*types.Package, *typ
 		if len(errs) > max {
 			errs = append(errs[:max], fmt.Errorf("... and %d more errors", len(errs)-max))
 		}
-		return nil, nil, fmt.Errorf("lint: type-checking %s:\n%w", path, errors.Join(errs...))
+		return nil, fmt.Errorf("lint: type-checking %s:\n%w", path, errors.Join(errs...))
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	return pkg, info, nil
+	return pkg, nil
 }
 
 // LoadDir loads the lint units of one directory: the package (with its
@@ -262,7 +225,7 @@ func (l *Loader) LoadDir(dir, pkgPath string) ([]*Unit, error) {
 	var units []*Unit
 	xl := l
 	if len(pd.files)+len(inPkg) > 0 {
-		u, err := l.unit(pkgPath, dir, append(append([]*ast.File{}, pd.files...), inPkg...), inPkg)
+		u, err := l.unit(pkgPath, append(append([]*ast.File{}, pd.files...), inPkg...), inPkg)
 		if err != nil {
 			return nil, err
 		}
@@ -274,7 +237,7 @@ func (l *Loader) LoadDir(dir, pkgPath string) ([]*Unit, error) {
 	if len(external) > 0 {
 		// A distinct path: checking "p_test" while importing "p" must not
 		// look like a self-import.
-		u, err := xl.unit(pkgPath+"_test", dir, external, external)
+		u, err := xl.unit(pkgPath+"_test", external, external)
 		if err != nil {
 			return nil, err
 		}
@@ -289,16 +252,14 @@ func (l *Loader) LoadDir(dir, pkgPath string) ([]*Unit, error) {
 // export_test.go file adds is then in scope. As go test does, the variant
 // checks again from source (sharing the parse) every module package that
 // imports path, directly or not, so it agrees with the test on path's
-// types; every other package keeps its one import view. The variant's
-// views feed no call graph: they are the same files, and the graph
-// matches functions by position.
+// types; every other package keeps its one import view.
 func (l *Loader) testVariant(path string, u *Unit) *Loader {
 	return &Loader{
 		Fset:    l.Fset,
 		Root:    l.Root,
 		Module:  l.Module,
 		std:     l.std,
-		imports: map[string]*impView{path: {pkg: u.Pkg, info: u.Info, files: u.Files}},
+		imports: map[string]*types.Package{path: u.Pkg},
 		loading: map[string]bool{},
 		parsed:  l.parsed,
 		base:    l,
@@ -323,42 +284,21 @@ func importsPath(pkg *types.Package, path string, seen map[*types.Package]bool) 
 	return false
 }
 
-func (l *Loader) unit(path, dir string, files, testFiles []*ast.File) (*Unit, error) {
-	pkg, info, err := l.typecheck(path, files)
+func (l *Loader) unit(path string, files, testFiles []*ast.File) (*Unit, error) {
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	pkg, err := l.typecheck(path, files, info)
 	if err != nil {
 		return nil, err
 	}
-	u := &Unit{Path: path, Dir: filepath.Clean(dir), Files: files, Test: map[*ast.File]bool{}, Pkg: pkg, Info: info}
+	u := &Unit{Path: path, Files: files, Test: map[*ast.File]bool{}, Pkg: pkg, Info: info}
 	for _, f := range testFiles {
 		u.Test[f] = true
 	}
 	return u, nil
-}
-
-// ImportedUnits wraps every module-internal import view loaded so far as
-// an analysis-only Unit, excluding directories already loaded as lint
-// targets. Called after the targets are loaded, it hands the call graph
-// the bodies of every dependency the targets reach, in deterministic
-// (import path) order.
-func (l *Loader) ImportedUnits(excludeDirs map[string]bool) []*Unit {
-	paths := make([]string, 0, len(l.imports))
-	for p := range l.imports {
-		paths = append(paths, p)
-	}
-	slices.Sort(paths)
-	var units []*Unit
-	for _, p := range paths {
-		dir := l.dirFor(p)
-		if excludeDirs[dir] {
-			continue
-		}
-		v := l.imports[p]
-		units = append(units, &Unit{
-			Path: p, Dir: dir, Files: v.files, Test: map[*ast.File]bool{},
-			Pkg: v.pkg, Info: v.info, Imported: true,
-		})
-	}
-	return units
 }
 
 // PackageDirs walks the module tree and returns every directory holding a

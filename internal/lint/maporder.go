@@ -64,8 +64,7 @@ func stmtList(n ast.Node) []ast.Stmt {
 
 // sensitiveMapRange reports whether list[i] is a for-range over a map
 // whose body is order-sensitive (and not cleared by the collect-then-sort
-// idiom against the statements that follow it). Shared by the intra-unit
-// map-order check and the interprocedural summary extraction.
+// idiom against the statements that follow it).
 func sensitiveMapRange(info *types.Info, list []ast.Stmt, i int) (*ast.RangeStmt, bool) {
 	rs, ok := list[i].(*ast.RangeStmt)
 	if !ok {

@@ -16,8 +16,7 @@ var wallClockFns = map[string]bool{
 }
 
 // wallClockRef returns the package time function sel refers to when it
-// reads or waits on the host clock, or nil. Shared by the intra-unit
-// check and the interprocedural summary extraction.
+// reads or waits on the host clock, or nil.
 func wallClockRef(info *types.Info, sel *ast.SelectorExpr) *types.Func {
 	fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" {
@@ -41,7 +40,7 @@ func runWallClock(p *Pass, f *ast.File) {
 		if fn := wallClockRef(p.Unit.Info, sel); fn != nil {
 			p.Report(sel.Pos(),
 				fmt.Sprintf("wall-clock time.%s in simulation code", fn.Name()),
-				"simulation code runs on virtual time: use Sim.Now, Sim.After, or Proc.Delay")
+				"simulation code runs on virtual time: use Sim.Now, Sim.After, or Cont.Delay")
 		}
 		return true
 	})

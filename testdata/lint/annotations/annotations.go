@@ -1,6 +1,9 @@
 // Package annotations exercises annotation hygiene: malformed or stale
-// escapes are diagnostics themselves.
+// escapes are diagnostics themselves, and a trailing escape covers only
+// its own line.
 package annotations
+
+import "time"
 
 /*ddbmlint:gibberish something*/ // want "unknown ddbmlint annotation verb"
 func a()                         {}
@@ -30,9 +33,18 @@ func d(m map[int]int) int {
 	return n
 }
 
+// g's trailing escape excuses the first clock read only: a line that
+// holds code does not stack over the line below it.
+func g() (time.Time, time.Time) {
+	a := time.Now() //ddbmlint:allow no-wall-clock fixture audits this one read
+	b := time.Now() // want "wall-clock time.Now"
+	return a, b
+}
+
 var _ = a
 var _ = b
 var _ = c
 var _ = d
 var _ = e
 var _ = f
+var _ = g

@@ -1,16 +1,10 @@
 // Command tool stands in for cmd/...: harnesses measure real work, so
 // wall-clock use under fixture/cmd is allowlisted and nothing here is
-// flagged. Reflection-based sorting is likewise fine off the hot path:
-// no-reflect-sort is scoped to fixture/internal only.
+// flagged.
 package main
 
-import (
-	"sort"
-	"time"
-)
+import "time"
 
 func main() {
 	_ = time.Now()
-	xs := []int{2, 1}
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
